@@ -10,6 +10,7 @@ bitwise identical outputs and gradients.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -65,48 +66,6 @@ class Tensor:
     def __repr__(self):
         grad = ", grad" if self.grad is not None else ""
         return f"Tensor(shape={self.data.shape}, op={self._op}{grad})"
-
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def transpose(self):
-        return transpose(self)
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 def _as_tensor(value) -> Tensor:
@@ -208,16 +167,6 @@ def sqrt(x) -> Tensor:
     return _make(y, "sqrt", (x,), vjp)
 
 
-def sigmoid(x) -> Tensor:
-    x = _as_tensor(x)
-    y = 1.0 / (1.0 + np.exp(-x.data))
-
-    def vjp(g):
-        return (g * y * (1.0 - y),)
-
-    return _make(y, "sigmoid", (x,), vjp)
-
-
 def tanh(x) -> Tensor:
     x = _as_tensor(x)
     y = np.tanh(x.data)
@@ -226,30 +175,6 @@ def tanh(x) -> Tensor:
         return (g * (1.0 - y * y),)
 
     return _make(y, "tanh", (x,), vjp)
-
-
-def relu(x) -> Tensor:
-    x = _as_tensor(x)
-    mask = x.data > 0
-
-    def vjp(g):
-        return (g * mask,)
-
-    return _make(np.where(mask, x.data, 0.0), "relu", (x,), vjp)
-
-
-def softmax(x) -> Tensor:
-    """Softmax over the last axis (numerically stabilized)."""
-    x = _as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
-
-    return _make(y, "softmax", (x,), vjp)
 
 
 # -- linear algebra and structure ----------------------------------------
@@ -265,40 +190,6 @@ def matmul(a, b) -> Tensor:
         return g @ b.data.T, a.data.T @ g
 
     return _make(a.data @ b.data, "matmul", (a, b), vjp)
-
-
-def transpose(x) -> Tensor:
-    x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose: expects a 2-D operand, got {x.data.shape}")
-
-    def vjp(g):
-        return (g.T,)
-
-    return _make(x.data.T, "transpose", (x,), vjp)
-
-
-def reshape(x, shape) -> Tensor:
-    x = _as_tensor(x)
-
-    def vjp(g):
-        return (g.reshape(x.data.shape),)
-
-    return _make(x.data.reshape(shape), "reshape", (x,), vjp)
-
-
-def broadcast_to(x, shape) -> Tensor:
-    """Materialize ``x`` broadcast to ``shape`` (e.g. a bias row over frames)."""
-    x = _as_tensor(x)
-    try:
-        y = np.broadcast_to(x.data, shape).copy()
-    except ValueError:
-        raise ShapeError(f"broadcast_to: cannot broadcast {x.data.shape} to {tuple(shape)}") from None
-
-    def vjp(g):
-        return (_unbroadcast(g, x.data.shape),)
-
-    return _make(y, "broadcast_to", (x,), vjp)
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -321,24 +212,6 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return _make(data, "concat", parts, vjp)
 
 
-def narrow(x, axis: int, start: int, stop: int) -> Tensor:
-    """Slice ``x`` along ``axis`` keeping rows/columns ``start:stop``."""
-    x = _as_tensor(x)
-    if axis not in (0, 1) or x.data.ndim != 2:
-        raise ShapeError(f"narrow: expects a 2-D operand and axis 0/1, got {x.data.shape}, axis {axis}")
-    extent = x.data.shape[axis]
-    if not (0 <= start < stop <= extent):
-        raise ShapeError(f"narrow: range [{start}, {stop}) invalid for axis {axis} of {x.data.shape}")
-    index = (slice(start, stop), slice(None)) if axis == 0 else (slice(None), slice(start, stop))
-
-    def vjp(g):
-        full = np.zeros_like(x.data)
-        full[index] = g
-        return (full,)
-
-    return _make(x.data[index].copy(), "narrow", (x,), vjp)
-
-
 def flip(x, axis: int = 0) -> Tensor:
     """Reverse the order of entries along ``axis`` (time reversal)."""
     x = _as_tensor(x)
@@ -357,7 +230,7 @@ def tsum(x, axis=None, keepdims=False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.data.shape).copy(),)
 
-    return _make(x.data.sum(axis=axis, keepdims=keepdims), "sum", (x,), vjp)
+    return _make(x.data.sum(axis=axis, keepdims=keepdims), "tsum", (x,), vjp)
 
 
 def tmean(x, axis=None, keepdims=False) -> Tensor:
@@ -369,7 +242,7 @@ def tmean(x, axis=None, keepdims=False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.data.shape).copy() / count,)
 
-    return _make(x.data.mean(axis=axis, keepdims=keepdims), "mean", (x,), vjp)
+    return _make(x.data.mean(axis=axis, keepdims=keepdims), "tmean", (x,), vjp)
 
 
 def conv1d(x, w, b=None, padding="same") -> Tensor:
@@ -499,6 +372,57 @@ def lstm_sequence(x, wx, wh, b, hidden: int) -> Tensor:
     return _make(states, "lstm_sequence", (x, wx, wh, b), vjp)
 
 
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """[T, heads * d] -> [heads, T, d] view (head h owns column block h)."""
+    return a.reshape(a.shape[0], heads, -1).swapaxes(0, 1)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """[heads, T, d] -> [T, heads * d], the inverse of ``_split_heads``."""
+    return a.swapaxes(0, 1).reshape(a.shape[1], -1)
+
+
+def _attention_weights(q: np.ndarray, k: np.ndarray, heads: int) -> np.ndarray:
+    """Per-head softmax(q_h k_h^T / sqrt(d)) over the last axis, [heads, T, T]."""
+    qh, kh = _split_heads(q, heads), _split_heads(k, heads)
+    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * (1.0 / math.sqrt(qh.shape[-1]))
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def attention(q, k, v, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over [T, heads * d] projections.
+
+    Head h attends with the weights softmax(q_h k_h^T / sqrt(d)) of its
+    column block and returns weights @ v_h; the heads' contexts come back
+    side by side as [T, heads * d_v].  Fused primitive: all heads run as
+    batched matmuls on [heads, T, d] views (Vaswani et al. 2017, section
+    3.2.2), so a whole attention layer is one tape node.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.data.ndim != 2 or q.data.shape != k.data.shape or v.data.ndim != 2 \
+            or v.data.shape[0] != q.data.shape[0] or q.data.shape[0] < 1:
+        raise ShapeError(f"attention: expects q, k [T, H*d] and v [T, H*d_v] with T >= 1, got "
+                         f"{q.data.shape}, {k.data.shape} and {v.data.shape}")
+    if heads < 1 or q.data.shape[1] % heads or v.data.shape[1] % heads:
+        raise ShapeError(f"attention: {heads} heads do not split widths {q.data.shape[1]} and {v.data.shape[1]}")
+    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    scale = 1.0 / math.sqrt(qh.shape[-1])
+    weights = _attention_weights(q.data, k.data, heads)
+
+    def vjp(g):
+        gh = _split_heads(g, heads)
+        g_weights = np.matmul(gh, vh.swapaxes(-1, -2))
+        g_v = np.matmul(weights.swapaxes(-1, -2), gh)
+        dot = (g_weights * weights).sum(axis=-1, keepdims=True)
+        g_scores = weights * (g_weights - dot) * scale
+        g_q = np.matmul(g_scores, kh)
+        g_k = np.matmul(qh.swapaxes(-1, -2), g_scores).swapaxes(-1, -2)
+        return _merge_heads(g_q), _merge_heads(g_k), _merge_heads(g_v)
+
+    return _make(_merge_heads(np.matmul(weights, vh)), "attention", (q, k, v), vjp)
+
+
 # -- backward pass --------------------------------------------------------
 
 def _topo_order(loss: Tensor):
@@ -545,43 +469,6 @@ def backward(loss: Tensor):
                 parent.grad = parent.grad + g
 
 
-def grad_check(function, point: Tensor, step: float = 1e-6) -> float:
-    """Compare analytic gradients of a scalar-valued ``function`` against
-    central finite differences at ``point``.
-
-    Returns the maximum over coordinates of
-    ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-12)``.
-    """
-    if not (0.0 < step <= 1e-3):
-        raise ValueError(f"grad_check: step {step} outside (0, 1e-3]")
-    base = np.asarray(point.data, dtype=np.float64).copy()
-
-    x = Tensor(base.copy(), requires_grad=True)
-    out = function(x)
-    if out.data.size != 1:
-        raise ShapeError(f"grad_check: function must return a scalar, got shape {out.data.shape}")
-    backward(out)
-    analytic = np.zeros_like(base) if x.grad is None else x.grad.reshape(base.shape)
-
-    worst = 0.0
-    flat = base.reshape(-1)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = function(Tensor(base.copy())).item()
-            flat[i] = orig - step
-            lo = function(Tensor(base.copy())).item()
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * step)
-            a = analytic.reshape(-1)[i]
-            if not (np.isfinite(numeric) and np.isfinite(a)):
-                raise NumericalError(f"grad_check: non-finite value at coordinate {i} (analytic={a}, numeric={numeric})")
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-12)
-            worst = max(worst, err)
-    return worst
-
-
 def check_gradients(build_loss, tensors, step: float = 1e-6, max_coords=None, rng=None,
                     coord_mode: str = "random") -> float:
     """Finite-difference check for gradients landing on existing tensors.
@@ -593,8 +480,11 @@ def check_gradients(build_loss, tensors, step: float = 1e-6, max_coords=None, rn
     are sampled with ``rng`` (coord_mode "random"), or the largest-gradient
     coordinates are taken (coord_mode "largest" - sidesteps the difference
     quotient's roundoff floor on near-zero coordinates).  Returns the max
-    relative error seen.
+    over checked coordinates of
+    ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-12)``.
     """
+    if not (0.0 < step <= 1e-3):
+        raise ValueError(f"check_gradients: step {step} outside (0, 1e-3]")
     tensors = list(tensors)
     for t in tensors:
         t.zero_grad()

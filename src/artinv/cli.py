@@ -181,6 +181,7 @@ def cmd_train(args) -> int:
     scenario = SCENARIOS[args.scenario]
     if scenario.needs_pretrained and not args.pretrained:
         raise UsageError("scenario S2 requires --pretrained <phoneme-stream checkpoint>")
+    hyper = _hyper(args)
     cfg = _mfcc_config(args)
     feature_hash = feature_config_hash(cfg)
     samples = dataio.load_manifest(args.manifest, cfg)
@@ -199,11 +200,11 @@ def cmd_train(args) -> int:
     model = InversionModel(ModelConfig(), seed=args.seed)
     apply_scenario(scenario, model, pretrained_arrays=pretrained_arrays)
     result = train_model(model, scenario, [by_id[i] for i in train_ids], [by_id[i] for i in val_ids],
-                         _hyper(args), seed=evaluation.derive_seed(args.seed, "train"))
+                         hyper, seed=evaluation.derive_seed(args.seed, "train"))
 
     ckpt_path = run_dir / "checkpoint.ckpt"
     dataio.save_checkpoint(ckpt_path, model, feature_hash, scenario=args.scenario,
-                           hyper=dataclasses.asdict(_hyper(args)), seed=args.seed)
+                           hyper=dataclasses.asdict(hyper), seed=args.seed)
     dataio.write_trace_csv(run_dir / "trace.csv", result.trace)
     print(ckpt_path)
     return 0
@@ -223,10 +224,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_loso(args) -> int:
+    hyper = _hyper(args)
     cfg = _mfcc_config(args)
     samples = dataio.load_manifest(args.manifest, cfg)
     run_dir = _run_dir(args, args.out)
-    report = evaluation.run_loso(samples, args.scenario, _hyper(args), seed=args.seed,
+    report = evaluation.run_loso(samples, args.scenario, hyper, seed=args.seed,
                                  out_dir=run_dir, channels=args.channels, jobs=args.jobs,
                                  feature_hash=feature_config_hash(cfg))
     for stream, score in report.grand.items():
@@ -241,10 +243,11 @@ def cmd_loso(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    hyper = _hyper(args)
     cfg = _mfcc_config(args)
     samples = dataio.load_manifest(args.manifest, cfg)
     run_dir = _run_dir(args, args.out)
-    reports = evaluation.run_ablation(samples, _hyper(args), seed=args.seed, out_dir=run_dir,
+    reports = evaluation.run_ablation(samples, hyper, seed=args.seed, out_dir=run_dir,
                                       channels=args.channels, jobs=args.jobs,
                                       feature_hash=feature_config_hash(cfg))
     for arm, report in reports.items():

@@ -25,7 +25,7 @@ class Dense:
     """Per-frame affine map [T, in] -> [T, out] with optional activation."""
 
     def __init__(self, in_dim: int, out_dim: int, activation=None, rng=None):
-        if activation not in (None, "tanh", "relu"):
+        if activation not in (None, "tanh"):
             raise ValueError(f"unknown activation {activation!r}")
         self.in_dim = in_dim
         self.out_dim = out_dim
@@ -39,11 +39,7 @@ class Dense:
 
     def forward(self, x: Tensor) -> Tensor:
         y = ad.add(ad.matmul(x, self.weight), self.bias)
-        if self.activation == "tanh":
-            return ad.tanh(y)
-        if self.activation == "relu":
-            return ad.relu(y)
-        return y
+        return ad.tanh(y) if self.activation == "tanh" else y
 
 
 class Conv1DLayer:
@@ -115,8 +111,8 @@ class LayerNorm:
 
 class MultiHeadAttention:
     """Scaled dot-product self-attention with per-head projections fused into
-    [model_dim, heads * head_dim] matrices, one output projection, and a
-    residual add."""
+    [model_dim, heads * head_dim] matrices, one ``attention`` tape node for
+    all heads, one output projection, and a residual add."""
 
     def __init__(self, model_dim: int = 512, heads: int = 8, head_dim: int = 64, rng=None):
         if heads * head_dim != model_dim:
@@ -138,23 +134,10 @@ class MultiHeadAttention:
     def forward(self, x: Tensor, return_weights: bool = False):
         if x.data.shape[-1] != self.model_dim:
             raise ShapeError(f"attention: expected feature dim {self.model_dim}, got {x.data.shape[-1]}")
-        q_all = ad.matmul(x, self.wq)
-        k_all = ad.matmul(x, self.wk)
-        v_all = ad.matmul(x, self.wv)
-        scale = 1.0 / math.sqrt(self.head_dim)
-        contexts = []
-        weights = []
-        for h in range(self.heads):
-            lo, hi = h * self.head_dim, (h + 1) * self.head_dim
-            q = ad.narrow(q_all, 1, lo, hi)
-            k = ad.narrow(k_all, 1, lo, hi)
-            v = ad.narrow(v_all, 1, lo, hi)
-            att = ad.softmax(ad.mul(ad.matmul(q, ad.transpose(k)), scale))
-            weights.append(att)
-            contexts.append(ad.matmul(att, v))
-        out = ad.add(x, ad.matmul(ad.concat(contexts, axis=1), self.wo))
+        q, k, v = (ad.matmul(x, w) for w in (self.wq, self.wk, self.wv))
+        out = ad.add(x, ad.matmul(ad.attention(q, k, v, self.heads), self.wo))
         if return_weights:
-            return out, weights
+            return out, [Tensor(w) for w in ad._attention_weights(q.data, k.data, self.heads)]
         return out
 
 

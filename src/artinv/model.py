@@ -1,5 +1,5 @@
 """Model assembly: speech stream, phoneme stream, fusion, inversion head,
-the joint loss, and the three training scenarios.
+the scenario loss, and the three training scenarios.
 
 Parameters are partitioned into four named groups so scenarios can freeze
 or train them independently and checkpoints can tag them:
@@ -282,18 +282,6 @@ def l2_term(pred: Tensor, target: Tensor, reduction: str = "sum") -> Tensor:
     if reduction == "frame_mean":
         return ad.tmean(per_frame)
     raise ValueError(f"unknown reduction {reduction!r}")
-
-
-def joint_loss(inversion_pred, phoneme_pred, target, weights=(1.0, 1.0), reduction: str = "sum") -> Tensor:
-    """Weighted sum of the two per-stream L2 terms over the utterance."""
-    w_inv, w_phoneme = weights
-    if w_inv < 0 or w_phoneme < 0:
-        raise ValueError("loss weights must be non-negative")
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    return ad.add(
-        ad.mul(l2_term(inversion_pred, target, reduction), w_inv),
-        ad.mul(l2_term(phoneme_pred, target, reduction), w_phoneme),
-    )
 
 
 @dataclass(frozen=True)

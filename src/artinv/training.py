@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, UsageError
 from .layers import Adam
 from .model import InversionModel, Scenario, scenario_loss
 
@@ -27,6 +27,13 @@ class Hyper:
     batch_size: int = 5
     weight_inversion: float = 1.0
     weight_phoneme: float = 1.0
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise UsageError(f"batch size must be at least 1, got {self.batch_size}")
+        for name, weight in (("inversion", self.weight_inversion), ("phoneme", self.weight_phoneme)):
+            if not (np.isfinite(weight) and weight >= 0):
+                raise UsageError(f"{name} loss weight must be finite and non-negative, got {weight}")
 
     @property
     def loss_weights(self):

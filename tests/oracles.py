@@ -71,6 +71,30 @@ def lstm_oracle(x, wx, wh, b, hidden):
     return np.array(states)
 
 
+def attention_oracle(q, k, v, heads):
+    """Scaled dot-product attention one head and one query frame at a time:
+    column block h of q/k/v is head h, scores are scaled by 1/sqrt(d), and
+    the softmax uses math.exp after subtracting the row maximum."""
+    frames = q.shape[0]
+    d = q.shape[1] // heads
+    d_v = v.shape[1] // heads
+    out = np.zeros((frames, heads * d_v))
+    for h in range(heads):
+        for t in range(frames):
+            scores = []
+            for s in range(frames):
+                acc = 0.0
+                for j in range(d):
+                    acc += q[t, h * d + j] * k[s, h * d + j]
+                scores.append(acc / math.sqrt(d))
+            top = max(scores)
+            exps = [math.exp(score - top) for score in scores]
+            total = sum(exps)
+            for j in range(d_v):
+                out[t, h * d_v + j] = sum(exps[s] / total * v[s, h * d_v + j] for s in range(frames))
+    return out
+
+
 def rmse_oracle(pred, target):
     out = []
     for c in range(pred.shape[1]):

@@ -6,6 +6,7 @@ import pytest
 from artinv import autodiff as ad
 from artinv.autodiff import Tensor
 from artinv.errors import NumericalError
+from oracles import attention_oracle, correlate_oracle
 
 
 def central_diff(f, x, step=1e-6):
@@ -24,14 +25,12 @@ def central_diff(f, x, step=1e-6):
     return grad
 
 
-def correlate_oracle(signal, kernel, pad):
-    """Brute-force sliding window over the zero-padded input, no flip."""
-    padded = [0.0] * pad + list(signal) + [0.0] * pad
-    k = len(kernel)
-    out = []
-    for t in range(len(padded) - k + 1):
-        out.append(sum(padded[t + j] * kernel[j] for j in range(k)))
-    return out
+def attention_weights(q, k, heads):
+    """The primitive's [heads, T, T] attention weights, read back through
+    ``ad.attention`` with identity value blocks (weights @ I is exact)."""
+    frames = q.shape[0]
+    context = ad.attention(Tensor(q), Tensor(k), Tensor(np.tile(np.eye(frames), (1, heads))), heads)
+    return context.data.reshape(frames, heads, frames).swapaxes(0, 1)
 
 
 class TestForward:
@@ -40,14 +39,17 @@ class TestForward:
         np.testing.assert_array_equal(y.data, [[3.0], [7.0]])
 
     def test_softmax_symmetry(self):
-        y = ad.softmax(Tensor([0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(y.data, [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
+        # zero queries score every key alike: uniform 1/T attention weights
+        rng = np.random.default_rng(6)
+        weights = attention_weights(np.zeros((3, 4)), rng.normal(size=(3, 4)), heads=2)
+        np.testing.assert_allclose(weights, 1 / 3, rtol=0, atol=1e-15)
 
     def test_softmax_rows_normalized(self):
         rng = np.random.default_rng(7)
-        y = ad.softmax(Tensor(rng.normal(size=(11, 23)) * 5.0))
-        assert np.all(y.data >= 0)
-        np.testing.assert_allclose(y.data.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        q, k = (rng.normal(size=(11, 6)) * 30.0 for _ in range(2))  # scores of O(1e3)
+        weights = attention_weights(q, k, heads=3)
+        assert np.all(weights >= 0)
+        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
     def test_cross_correlation_matches_sliding_oracle(self):
         signal = [1.0, 2.0, 3.0, 4.0]
@@ -70,6 +72,17 @@ class TestForward:
             expected = correlate_oracle(signal, kernel, pad)
             y = ad.conv1d(Tensor(signal.reshape(-1, 1)), Tensor(kernel.reshape(1, 1, -1)))
             np.testing.assert_allclose(y.data[:, 0], expected, atol=1e-10, rtol=0)
+
+    def test_attention_random_vs_oracle(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            heads = int(rng.integers(1, 4))
+            frames = int(rng.integers(1, 7))
+            d, d_v = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            q, k = rng.normal(size=(2, frames, heads * d))
+            v = rng.normal(size=(frames, heads * d_v))
+            got = ad.attention(Tensor(q), Tensor(k), Tensor(v), heads).data
+            np.testing.assert_allclose(got, attention_oracle(q, k, v, heads), atol=1e-12, rtol=0)
 
     def test_shape_mismatch_names_op_and_shapes(self):
         with pytest.raises(ad.ShapeError, match=r"matmul.*\(2, 3\).*\(2, 3\)"):
@@ -141,40 +154,43 @@ class TestBackward:
 
 class TestGradCheck:
     def test_quadratic_is_nearly_exact(self):
-        err = ad.grad_check(lambda x: ad.tsum(ad.square(x)), Tensor([1.0, 2.0, 3.0]), step=1e-6)
-        assert err < 1e-7
+        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        assert ad.check_gradients(lambda: ad.tsum(ad.square(x)), [x], step=1e-6) < 1e-7
 
-    def test_sigmoid_sum(self):
-        rng = np.random.default_rng(1)
-        err = ad.grad_check(lambda x: ad.tsum(ad.sigmoid(x)), Tensor(rng.normal(size=8)), step=1e-6)
-        assert err < 1e-6
+    def test_tanh_sum(self):
+        x = Tensor(np.random.default_rng(1).normal(size=8), requires_grad=True)
+        assert ad.check_gradients(lambda: ad.tsum(ad.tanh(x)), [x], step=1e-6) < 1e-6
 
     def test_softmax_sum_has_zero_gradient(self):
-        # softmax rows sum to one, so d(sum)/dx vanishes identically
-        x = Tensor(np.array([0.3, -1.2, 2.0, 0.0]), requires_grad=True)
-        ad.tsum(ad.softmax(x)).backward()
-        np.testing.assert_allclose(x.grad, 0.0, atol=1e-12)
+        # attention rows sum to one, so identical value rows give the same
+        # context for any weights and d(context)/d(q, k) vanishes identically
+        rng = np.random.default_rng(8)
+        q, k = (Tensor(rng.normal(size=(4, 6)), requires_grad=True) for _ in range(2))
+        v = Tensor(np.tile(rng.normal(size=6), (4, 1)))
+        ad.tsum(ad.mul(ad.attention(q, k, v, heads=2), Tensor(rng.normal(size=(4, 6))))).backward()
+        np.testing.assert_allclose(q.grad, 0.0, atol=1e-12)
+        np.testing.assert_allclose(k.grad, 0.0, atol=1e-12)
 
     def test_step_bounds(self):
+        x = Tensor([1.0], requires_grad=True)
         with pytest.raises(ValueError):
-            ad.grad_check(lambda x: ad.tsum(x), Tensor([1.0]), step=0.5)
+            ad.check_gradients(lambda: ad.tsum(x), [x], step=0.5)
+        with pytest.raises(ValueError):
+            ad.check_gradients(lambda: ad.tsum(x), [x], step=0.0)
 
     def test_non_finite_reports_coordinate(self):
+        x = Tensor([-1.0], requires_grad=True)
         with np.errstate(invalid="ignore"):
-            with pytest.raises(NumericalError, match="coordinate"):
-                ad.grad_check(lambda x: ad.tsum(ad.sqrt(x)), Tensor([-1.0]), step=1e-6)
+            with pytest.raises(NumericalError, match="coordinate 0"):
+                ad.check_gradients(lambda: ad.tsum(ad.sqrt(x)), [x], step=1e-6)
 
 
-def _weighted(op):
+def _weighted(op, x):
     """Reduce an op output to a scalar with fixed weights so no gradient is
     structurally zero (plain sums hide softmax/normalization errors)."""
-    def wrap(builder):
-        def f(x):
-            y = builder(x)
-            w = Tensor(np.linspace(0.5, 1.5, y.data.size).reshape(y.data.shape))
-            return ad.tsum(ad.mul(y, w))
-        return f
-    return wrap(op)
+    y = op(x)
+    w = Tensor(np.linspace(0.5, 1.5, y.data.size).reshape(y.data.shape))
+    return ad.tsum(ad.mul(y, w))
 
 
 PRIMITIVES = {
@@ -185,32 +201,28 @@ PRIMITIVES = {
     "div_rhs": lambda x: ad.div(Tensor(np.ones_like(x.data)), ad.add(ad.square(x), 1.0)),
     "matmul": lambda x: ad.matmul(x, Tensor(np.linspace(-1, 1, 12).reshape(4, 3))),
     "conv1d": lambda x: ad.conv1d(x, Tensor(np.linspace(-1, 1, 6).reshape(1, 2, 3)), Tensor(np.array([0.1]))),
-    "sigmoid": ad.sigmoid,
     "tanh": ad.tanh,
-    "relu_shifted": lambda x: ad.relu(ad.add(x, 0.05)),  # keep away from the kink
-    "softmax": ad.softmax,
     "square": ad.square,
     "sqrt_pos": lambda x: ad.sqrt(ad.add(ad.square(x), 0.5)),
     "mean": lambda x: ad.tmean(x, axis=-1, keepdims=True),
     "sum_axis": lambda x: ad.tsum(x, axis=0),
     "concat": lambda x: ad.concat([x, ad.square(x)], axis=-1),
-    "narrow": lambda x: ad.narrow(x, 1, 1, 3),
-    "transpose": ad.transpose,
     "flip": lambda x: ad.flip(x, axis=0),
-    "broadcast": lambda x: ad.broadcast_to(ad.narrow(x, 0, 0, 1), x.data.shape),
-    "reshape": lambda x: ad.reshape(x, (x.data.size,)),
+    # a [1, 4] row broadcast over frames, as a bias is: gradients sum back over rows
+    "broadcast": lambda x: ad.mul(ad.tsum(x, axis=0, keepdims=True), Tensor(np.linspace(-1, 1, 12).reshape(3, 4))),
+    "attention": lambda x: ad.attention(x, ad.square(x), ad.tanh(x), heads=2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_primitive_gradients(name):
-    """Every primitive passes grad_check at 10 random points (module invariant)."""
+    """Every primitive passes check_gradients at 10 random points (module invariant)."""
     op = PRIMITIVES[name]
     rng = np.random.default_rng(hash(name) % 2**32)
     shape = (5, 2) if name == "conv1d" else (3, 4)
     for _ in range(10):
-        point = Tensor(rng.normal(size=shape))
-        err = ad.grad_check(_weighted(op), point, step=1e-6)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        err = ad.check_gradients(lambda: _weighted(op, x), [x], step=1e-6)
         assert err < 1e-5, f"{name}: relative error {err}"
 
 

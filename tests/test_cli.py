@@ -83,6 +83,19 @@ class TestTrain:
             digests.append(hashlib.sha256(ckpt.read_bytes()).hexdigest())
         assert digests[0] == digests[1]
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--w_phoneme", "-1", "phoneme loss weight"), ("--w_phoneme", "nan", "phoneme loss weight"),
+        ("--w_inversion", "inf", "inversion loss weight"), ("--batch_size", "0", "batch size"),
+    ], ids=["w_phoneme_negative", "w_phoneme_nan", "w_inversion_inf", "batch_size_zero"])
+    def test_bad_hyperparameter_is_usage_error(self, tmp_path, capsys, flag, value, message):
+        manifest = synth(tmp_path)
+        out = tmp_path / "runs"
+        code = main(["train", "--manifest", str(manifest), "--scenario", "S3",
+                     "--out", str(out), "--seed", "1", *FAST_TRAIN, flag, value])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()  # rejected before any run directory is made
+
     def test_missing_manifest_is_data_error(self, tmp_path, capsys):
         code = main(["train", "--manifest", str(tmp_path / "nope.csv"), "--scenario", "S1",
                      "--out", str(tmp_path / "runs"), "--seed", "0", *FAST_TRAIN])

@@ -8,7 +8,7 @@ import pytest
 from artinv import autodiff as ad
 from artinv import layers
 from artinv.autodiff import ShapeError, Tensor
-from oracles import conv_bank_oracle, lstm_oracle
+from oracles import attention_oracle, conv_bank_oracle, lstm_oracle
 
 
 class TestConvBank:
@@ -105,6 +105,28 @@ class TestAttention:
         for w in weights:
             assert np.all(w.data >= 0)
             np.testing.assert_allclose(w.data.sum(axis=1), 1.0, atol=1e-9, rtol=0)
+
+    def test_matches_oracle_random_instances(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            heads, head_dim = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            mha = layers.MultiHeadAttention(heads * head_dim, heads=heads, head_dim=head_dim, rng=rng)
+            x = rng.normal(size=(int(rng.integers(1, 7)), heads * head_dim))
+            q, k, v = (x @ w.data for w in (mha.wq, mha.wk, mha.wv))
+            expected = x + attention_oracle(q, k, v, heads) @ mha.wo.data
+            np.testing.assert_allclose(mha.forward(Tensor(x)).data, expected, atol=1e-12, rtol=0)
+
+    def test_one_attention_node_per_layer(self):
+        rng = np.random.default_rng(18)
+        mha = layers.MultiHeadAttention(8, heads=2, head_dim=4, rng=rng)
+        seen, stack = {}, [mha.forward(Tensor(rng.normal(size=(5, 8))))]
+        while stack:
+            node = stack.pop()
+            if node._op is not None and id(node) not in seen:
+                seen[id(node)] = node._op
+                stack.extend(node._parents)
+        # q, k and v projections, all heads, output projection, residual
+        assert sorted(seen.values()) == ["add", "attention", "matmul", "matmul", "matmul", "matmul"]
 
     def test_stack_permutation_equivariance(self):
         rng = np.random.default_rng(9)

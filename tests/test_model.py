@@ -1,5 +1,7 @@
 """Model assembly, joint loss, scenario semantics, and the training loop."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from artinv import model as mdl
 from artinv.autodiff import ShapeError, Tensor
 from artinv.dataio import UtteranceSample
 from artinv.errors import UsageError
-from artinv.model import InversionModel, ModelConfig, SCENARIOS, apply_scenario, joint_loss
+from artinv.model import InversionModel, ModelConfig, SCENARIOS, apply_scenario, scenario_loss
 from artinv.training import Hyper, evaluate_loss, train_model
 
 SMALL = ModelConfig(
@@ -20,6 +22,7 @@ SMALL_SPEECH_ONLY = ModelConfig(
     conv_channels=4, kernel_sizes=(1, 3), attn_model_dim=16, attn_layers=2,
     attn_heads=2, attn_head_dim=8, speech_fc_units=10, blstm_hidden=4,
 )
+S3 = SCENARIOS["S3"]
 
 
 def make_samples(count, frames=6, speakers=("a", "b"), seed=0):
@@ -88,7 +91,7 @@ class TestForward:
 
         def build():
             inv, pho = model.forward(sample.mfcc, sample.phonemes)
-            return joint_loss(inv, pho, Tensor(sample.ema), reduction="frame_mean")
+            return scenario_loss(S3, inv, pho, Tensor(sample.ema), reduction="frame_mean")
 
         loss = build()
         ad.backward(loss)
@@ -102,22 +105,46 @@ class TestForward:
         assert err < 1e-4
 
 
+def test_tape_holds_exactly_the_model_primitives():
+    """Every public autodiff function that records a node is reached from
+    the S3 or speech-only training loss, and the losses reach nothing else."""
+    primitives = {name for name, fn in vars(ad).items()
+                  if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_")}
+    primitives -= {"backward", "no_grad", "check_gradients"}
+    sample = make_samples(1, seed=32)[0]
+    reached = set()
+    for config, scenario in ((SMALL, S3), (SMALL_SPEECH_ONLY, SCENARIOS["SPEECH_ONLY"])):
+        model = InversionModel(config, seed=33)
+        apply_scenario(scenario, model)
+        inv, pho = model.forward(sample.mfcc, sample.phonemes if scenario.use_phonemes else None)
+        seen, stack = set(), [scenario_loss(scenario, inv, pho, Tensor(sample.ema))]
+        while stack:
+            node = stack.pop()
+            if node._op is not None and id(node) not in seen:
+                seen.add(id(node))
+                reached.add(node._op)
+                stack.extend(node._parents)
+    assert reached == primitives
+
+
 class TestJointLoss:
+    """The S3 loss (both terms) under the direct-summation reduction."""
+
     def test_zero_when_predictions_match(self):
         t = Tensor(np.random.default_rng(0).normal(size=(4, 12)))
-        assert joint_loss(t, t, t).item() == 0.0
+        assert scenario_loss(S3, t, t, t, reduction="sum").item() == 0.0
 
     def test_unit_offset_sums_cells(self):
         target = np.zeros((2, 12))
         off = Tensor(target + 1.0)
         exact = Tensor(target)
         # direct summation oracle: 2 frames x 12 channels of squared unit error
-        assert joint_loss(off, exact, Tensor(target), weights=(1.0, 1.0)).item() == 24.0
+        assert scenario_loss(S3, off, exact, Tensor(target), weights=(1.0, 1.0), reduction="sum").item() == 24.0
 
     def test_zero_phoneme_weight_reduces_to_single_stream(self):
         rng = np.random.default_rng(1)
         a, b, t = (Tensor(rng.normal(size=(3, 12))) for _ in range(3))
-        full = joint_loss(a, b, t, weights=(1.0, 0.0)).item()
+        full = scenario_loss(S3, a, b, t, weights=(1.0, 0.0), reduction="sum").item()
         single = mdl.l2_term(a, t).item()
         assert full == single
 
@@ -127,13 +154,14 @@ class TestJointLoss:
             a = Tensor(rng.normal(size=(3, 12)))
             b = Tensor(rng.normal(size=(3, 12)))
             t = Tensor(rng.normal(size=(3, 12)))
-            value = joint_loss(a, b, t).item()
+            value = scenario_loss(S3, a, b, t, reduction="sum").item()
             assert value >= 0.0
             assert (value == 0.0) == (np.array_equal(a.data, t.data) and np.array_equal(b.data, t.data))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            joint_loss(Tensor(np.zeros((3, 12))), Tensor(np.zeros((3, 12))), Tensor(np.zeros((4, 12))))
+            scenario_loss(S3, Tensor(np.zeros((3, 12))), Tensor(np.zeros((3, 12))), Tensor(np.zeros((4, 12))),
+                          reduction="sum")
 
     def test_frame_mean_reduction(self):
         target = np.zeros((4, 12))

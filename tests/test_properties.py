@@ -7,7 +7,8 @@ from hypothesis.extra.numpy import arrays
 from artinv import autodiff as ad
 from artinv.autodiff import Tensor
 from artinv.evaluation import pcc, rmse
-from artinv.model import joint_loss
+from artinv.model import SCENARIOS, scenario_loss
+from test_autodiff import attention_weights
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 # 0.01-granular grid in [-50, 50]: keeps affine maps and squared errors
@@ -21,11 +22,14 @@ def matrices(rows=st.integers(2, 8), cols=st.integers(1, 6)):
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrices())
-def test_softmax_rows_are_distributions(x):
-    y = ad.softmax(Tensor(x)).data
-    assert np.all(y >= 0)
-    np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-12, rtol=0)
+@given(st.tuples(st.integers(1, 3), st.integers(2, 8), st.integers(1, 3)).flatmap(
+    lambda s: st.tuples(st.just(s[0]), *(arrays(np.float64, (s[1], s[0] * s[2]), elements=finite)
+                                         for _ in range(2)))))
+def test_softmax_rows_are_distributions(case):
+    heads, q, k = case  # attention scores of up to O(1e3)
+    weights = attention_weights(q, k, heads)
+    assert np.all(weights >= 0)
+    np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12, rtol=0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -65,7 +69,7 @@ def test_pcc_invariant_under_positive_affine_maps(pair, scale, shift):
     )))
 def test_joint_loss_nonnegative_zero_iff_exact(abc):
     inv, pho, target = abc
-    value = joint_loss(Tensor(inv), Tensor(pho), Tensor(target)).item()
+    value = scenario_loss(SCENARIOS["S3"], Tensor(inv), Tensor(pho), Tensor(target), reduction="sum").item()
     assert value >= 0.0
     exact = np.array_equal(inv, target) and np.array_equal(pho, target)
     assert (value == 0.0) == exact
