@@ -3,9 +3,16 @@
 Every operation records its parent tensors and a vector-Jacobian-product
 closure on the result tensor; ``backward`` linearizes the recorded graph
 into reverse topological order and replays the adjoints, accumulating
-gradients additively wherever a tensor is used more than once.  All
-arithmetic is 64-bit and single-threaded, so identical inputs produce
-bitwise identical outputs and gradients.
+gradients additively wherever a tensor is used more than once.  It
+consumes the graph as it goes: each node's adjoint, parent links and
+gradient are dropped once used, so only the leaves keep gradients.
+
+The sequence primitives (``conv1d``, ``attention``, ``lstm_sequence``)
+take optional segment ``lengths``: several sequences packed along the
+frame axis of one [sum(T), .] array, each processed as if alone.  Every
+other op works per frame and needs no lengths.  All arithmetic is 64-bit
+and single-threaded, so identical inputs produce bitwise identical
+outputs and gradients.
 """
 
 from __future__ import annotations
@@ -212,18 +219,40 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return _make(data, "concat", parts, vjp)
 
 
-def flip(x, axis: int = 0) -> Tensor:
-    """Reverse the order of entries along ``axis`` (time reversal)."""
-    x = _as_tensor(x)
+def _segments(lengths, frames: int, op: str) -> np.ndarray:
+    """Validated segment lengths of a [sum(lengths), ...] packed array; the
+    default is one segment spanning all ``frames`` rows."""
+    if lengths is None:
+        return np.array([frames])
+    lens = np.asarray(lengths)
+    if lens.ndim != 1 or lens.size < 1 or lens.dtype.kind not in "iu" or np.any(lens < 1) \
+            or int(lens.sum()) != frames:
+        raise ShapeError(f"{op}: segment lengths {lengths!r} must be positive integers summing to {frames}")
+    return lens
+
+
+def _segment_reduce(op: str, x: Tensor, lengths, scale: bool) -> Tensor:
+    """Sum (or mean, when ``scale``) of each segment's rows: [sum(lengths), ...]
+    -> [segments, ...].  Each segment reduces only its own rows, so a
+    non-finite value stays in its segment's result."""
+    lens = _segments(lengths, x.data.shape[0], op)
+    starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
+    counts = lens.reshape((-1,) + (1,) * (x.data.ndim - 1))
+    out = np.add.reduceat(x.data, starts, axis=0)
+    if scale:
+        out = out / counts
 
     def vjp(g):
-        return (np.flip(g, axis=axis).copy(),)
+        return (np.repeat(g / counts if scale else g, lens, axis=0),)
 
-    return _make(np.flip(x.data, axis=axis).copy(), "flip", (x,), vjp)
+    return _make(out, op, (x,), vjp)
 
 
-def tsum(x, axis=None, keepdims=False) -> Tensor:
+def tsum(x, axis=None, keepdims=False, lengths=None) -> Tensor:
+    """Sum over ``axis``; with ``lengths``, the per-segment sum over rows."""
     x = _as_tensor(x)
+    if lengths is not None:
+        return _segment_reduce("tsum", x, lengths, scale=False)
 
     def vjp(g):
         if axis is not None and not keepdims:
@@ -233,8 +262,11 @@ def tsum(x, axis=None, keepdims=False) -> Tensor:
     return _make(x.data.sum(axis=axis, keepdims=keepdims), "tsum", (x,), vjp)
 
 
-def tmean(x, axis=None, keepdims=False) -> Tensor:
+def tmean(x, axis=None, keepdims=False, lengths=None) -> Tensor:
+    """Mean over ``axis``; with ``lengths``, the per-segment mean over rows."""
     x = _as_tensor(x)
+    if lengths is not None:
+        return _segment_reduce("tmean", x, lengths, scale=True)
     count = x.data.size if axis is None else x.data.shape[axis]
 
     def vjp(g):
@@ -245,13 +277,15 @@ def tmean(x, axis=None, keepdims=False) -> Tensor:
     return _make(x.data.mean(axis=axis, keepdims=keepdims), "tmean", (x,), vjp)
 
 
-def conv1d(x, w, b=None, padding="same") -> Tensor:
+def conv1d(x, w, b=None, padding="same", lengths=None) -> Tensor:
     """1-D cross-correlation over the time axis.
 
     ``x`` is [T, C_in], ``w`` is [C_out, C_in, K], ``b`` is [C_out] or None.
     ``padding`` is "same" (requires odd K, preserves T) or an integer number
     of zero rows added at each end.  No kernel flip is applied: output
     ``y[t, o] = b[o] + sum_{c,k} w[o, c, k] * x_padded[t + k, c]``.
+    With ``lengths``, ``x`` packs several sequences along T and each one is
+    padded on its own, so no window reads across a boundary.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 2 or w.data.ndim != 3:
@@ -270,9 +304,9 @@ def conv1d(x, w, b=None, padding="same") -> Tensor:
         pad = int(padding)
         if pad < 0:
             raise ShapeError(f"conv1d: negative padding {pad}")
-    t_out = t_in + 2 * pad - k + 1
-    if t_out < 1:
-        raise ShapeError(f"conv1d: kernel size {k} with padding {pad} exceeds input length {t_in}")
+    lens = _segments(lengths, t_in, "conv1d")
+    if lens.min() + 2 * pad - k + 1 < 1:
+        raise ShapeError(f"conv1d: kernel size {k} with padding {pad} exceeds input length {lens.min()}")
 
     parents = [x, w]
     if b is not None:
@@ -281,18 +315,26 @@ def conv1d(x, w, b=None, padding="same") -> Tensor:
             raise ShapeError(f"conv1d: bias shape {b.data.shape} does not match {c_out} output channels")
         parents.append(b)
 
-    xp = np.pad(x.data, ((pad, pad), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)  # [T_out, C_in, K]
+    # segment s occupies rows [start_s, start_s + T_s + 2 pad) of the padded
+    # input, and its outputs are the windows starting at the first
+    # T_s + 2 pad - k + 1 of those rows
+    starts = np.concatenate(([0], np.cumsum(lens + 2 * pad)[:-1]))
+    seg = np.repeat(np.arange(lens.size), lens)
+    rows_in = np.arange(t_in) + pad * (2 * seg + 1)
+    rows_out = np.concatenate([s + np.arange(n + 2 * pad - k + 1) for s, n in zip(starts, lens)])
+    xp = np.zeros((t_in + 2 * pad * lens.size, c_in))
+    xp[rows_in] = x.data
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)[rows_out]  # [T_out, C_in, K]
     y = np.tensordot(windows, w.data, axes=([1, 2], [1, 2]))
     if b is not None:
         y = y + b.data
 
     def vjp(g):
         gw = np.tensordot(g, windows, axes=(0, 0))  # [C_out, C_in, K]
-        gp = np.pad(g, ((k - 1, k - 1), (0, 0)))
-        gwin = np.lib.stride_tricks.sliding_window_view(gp, k, axis=0)  # [T_in + 2*pad, C_out, K]
-        gx_padded = np.tensordot(gwin, w.data[:, :, ::-1], axes=([1, 2], [0, 2]))
-        gx = gx_padded[pad:pad + t_in]
+        g_all = np.zeros((xp.shape[0] - k + 1, c_out))
+        g_all[rows_out] = g
+        gwin = np.lib.stride_tricks.sliding_window_view(np.pad(g_all, ((k - 1, k - 1), (0, 0))), k, axis=0)
+        gx = np.tensordot(gwin, w.data[:, :, ::-1], axes=([1, 2], [0, 2]))[rows_in]
         if b is not None:
             return gx, gw, g.sum(axis=0)
         return gx, gw
@@ -300,7 +342,15 @@ def conv1d(x, w, b=None, padding="same") -> Tensor:
     return _make(y, "conv1d", parents, vjp)
 
 
-def lstm_sequence(x, wx, wh, b, hidden: int) -> Tensor:
+def _sigmoid_(a: np.ndarray) -> None:
+    """In-place logistic function, 1 / (1 + exp(-a))."""
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    a += 1.0
+    np.reciprocal(a, out=a)
+
+
+def lstm_sequence(x, wx, wh, b, hidden: int, lengths=None, reverse: bool = False) -> Tensor:
     """Single-direction LSTM over a [T, D] sequence; returns the [T, H]
     hidden-state trajectory from zero initial state.
 
@@ -309,6 +359,13 @@ def lstm_sequence(x, wx, wh, b, hidden: int) -> Tensor:
     the candidate.  The adjoint is backprop-through-time with the weight
     gradients formed as whole-sequence GEMMs, which is why this is one tape
     node instead of ~15 per step.
+
+    With ``lengths``, ``x`` packs several sequences along T, each run from
+    its own zero state.  ``reverse`` runs every sequence from its last frame
+    to its first; the output stays in input order.  The recurrence runs
+    time-major on the sequences still active at each step, longest first
+    (the packed layout of Appleyard et al. 2016 and PyTorch's
+    ``pack_padded_sequence``), so no padded step is computed or stored.
     """
     x, wx, wh, b = _as_tensor(x), _as_tensor(wx), _as_tensor(wh), _as_tensor(b)
     frames, in_dim = x.data.shape
@@ -320,56 +377,87 @@ def lstm_sequence(x, wx, wh, b, hidden: int) -> Tensor:
         raise ShapeError(f"lstm_sequence: wh shape {wh.data.shape} != ({hidden}, {4 * hidden})")
     if b.data.shape != (4 * hidden,):
         raise ShapeError(f"lstm_sequence: bias shape {b.data.shape} != ({4 * hidden},)")
+    lens = _segments(lengths, frames, "lstm_sequence")
 
-    xw = x.data @ wx.data
-    h_prev = np.zeros((frames, hidden))   # h_0 .. h_{T-1}
-    gate_i = np.empty((frames, hidden))
-    gate_f = np.empty((frames, hidden))
-    cand = np.empty((frames, hidden))
-    gate_o = np.empty((frames, hidden))
-    cells = np.empty((frames, hidden))    # c_1 .. c_T
-    tanh_c = np.empty((frames, hidden))
-    states = np.empty((frames, hidden))   # h_1 .. h_T
+    # packed position p holds (step t_of[p], sequence order[rank[p]]); each
+    # step's block lists the sequences still running, longest first
+    order = np.argsort(-lens, kind="stable")
+    sorted_lens = lens[order]
+    t_of, rank = np.nonzero(np.arange(sorted_lens[0])[:, None] < sorted_lens[None, :])
+    batch = np.bincount(t_of).tolist()
+    start = np.concatenate(([0], np.cumsum(batch)))  # first position of each step
+    seq = order[rank]
+    offsets = np.concatenate(([0], np.cumsum(lens)[:-1]))
+    perm = offsets[seq] + (lens[seq] - 1 - t_of if reverse else t_of)  # input row of each position
+    prev = start[t_of[batch[0]:] - 1] + rank[batch[0]:]  # position of the previous step, steps >= 1
+    start = start.tolist()
 
-    h = np.zeros(hidden)
-    c = np.zeros(hidden)
+    gates = x.data[perm] @ wx.data
+    gates += b.data
+    cells = np.empty((frames, hidden))
+    states = np.empty((frames, hidden))
     wh_data = wh.data
-    b_data = b.data
-    for t in range(frames):
-        h_prev[t] = h
-        z = xw[t] + h @ wh_data + b_data
-        zi, zf, zg, zo = z[:hidden], z[hidden:2 * hidden], z[2 * hidden:3 * hidden], z[3 * hidden:]
-        i_t = 1.0 / (1.0 + np.exp(-zi))
-        f_t = 1.0 / (1.0 + np.exp(-zf))
-        g_t = np.tanh(zg)
-        o_t = 1.0 / (1.0 + np.exp(-zo))
-        c = f_t * c + i_t * g_t
-        tc = np.tanh(c)
-        h = o_t * tc
-        gate_i[t], gate_f[t], cand[t], gate_o[t] = i_t, f_t, g_t, o_t
-        cells[t], tanh_c[t], states[t] = c, tc, h
+    for t, n in enumerate(batch):
+        lo, hi = start[t], start[t] + n
+        z = gates[lo:hi]
+        if t:
+            before = start[t - 1]
+            z += states[before:before + n] @ wh_data
+        _sigmoid_(z[:, :2 * hidden])  # input and forget gates
+        _sigmoid_(z[:, 3 * hidden:])  # output gate
+        cand = z[:, 2 * hidden:3 * hidden]
+        np.tanh(cand, out=cand)
+        c = cells[lo:hi]
+        np.multiply(z[:, :hidden], cand, out=c)
+        if t:
+            c += z[:, hidden:2 * hidden] * cells[before:before + n]
+        h = states[lo:hi]
+        np.tanh(c, out=h)
+        h *= z[:, 3 * hidden:]
+    out = np.empty((frames, hidden))
+    out[perm] = states
+    del states
 
     def vjp(g):
-        dz = np.empty((frames, 4 * hidden))
-        wh_t = wh_data.T
-        dh_next = np.zeros(hidden)
-        dc_next = np.zeros(hidden)
-        for t in range(frames - 1, -1, -1):
-            dh = g[t] + dh_next
-            i_t, f_t, g_t, o_t = gate_i[t], gate_f[t], cand[t], gate_o[t]
-            tc = tanh_c[t]
-            dc = dh * o_t * (1.0 - tc * tc) + dc_next
-            c_before = cells[t - 1] if t > 0 else np.zeros(hidden)
-            dz_t = dz[t]
-            dz_t[:hidden] = dc * g_t * i_t * (1.0 - i_t)
-            dz_t[hidden:2 * hidden] = dc * c_before * f_t * (1.0 - f_t)
-            dz_t[2 * hidden:3 * hidden] = dc * i_t * (1.0 - g_t * g_t)
-            dz_t[3 * hidden:] = dh * tc * o_t * (1.0 - o_t)
-            dh_next = dz_t @ wh_t
-            dc_next = dc * f_t
-        return (dz @ wx.data.T, x.data.T @ dz, h_prev.T @ dz, dz.sum(axis=0))
+        gate_i, gate_f = gates[:, :hidden], gates[:, hidden:2 * hidden]
+        cand, gate_o = gates[:, 2 * hidden:3 * hidden], gates[:, 3 * hidden:]
+        tanh_c = np.tanh(cells)
+        c_before = np.zeros((frames, hidden))
+        c_before[batch[0]:] = cells[prev]
+        # per-step factors of the gate adjoints, vectorised over all steps:
+        # dz = (dc, dc, dc, dh) * factors, and dc = dh * through_o + dc_next
+        factors = np.empty((frames, 4, hidden))
+        factors[:, 0] = cand * gate_i * (1.0 - gate_i)
+        factors[:, 1] = c_before * gate_f * (1.0 - gate_f)
+        factors[:, 2] = gate_i * (1.0 - cand * cand)
+        factors[:, 3] = tanh_c * gate_o * (1.0 - gate_o)
+        through_o = gate_o * (1.0 - tanh_c * tanh_c)
+        del tanh_c, c_before
 
-    return _make(states, "lstm_sequence", (x, wx, wh, b), vjp)
+        dh_all = g[perm]
+        dz = np.empty((frames, 4 * hidden))
+        dz3 = dz.reshape(frames, 4, hidden)
+        wh_t = wh_data.T
+        dh_next = dc_next = None
+        for t in range(len(batch) - 1, -1, -1):
+            lo, hi = start[t], start[t] + batch[t]
+            dh = dh_all[lo:hi]
+            if dh_next is not None:
+                dh[:len(dh_next)] += dh_next
+            dc = dh * through_o[lo:hi]
+            if dc_next is not None:
+                dc[:len(dc_next)] += dc_next
+            np.multiply(factors[lo:hi, :3], dc[:, None, :], out=dz3[lo:hi, :3])
+            np.multiply(factors[lo:hi, 3], dh, out=dz3[lo:hi, 3])
+            if t:
+                dh_next = dz[lo:hi] @ wh_t
+                dc_next = dc * gate_f[lo:hi]
+        dz_in = np.empty_like(dz)
+        dz_in[perm] = dz
+        g_wh = out[perm[prev]].T @ dz[batch[0]:]
+        return dz_in @ wx.data.T, x.data.T @ dz_in, g_wh, dz.sum(axis=0)
+
+    return _make(out, "lstm_sequence", (x, wx, wh, b), vjp)
 
 
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
@@ -390,14 +478,15 @@ def _attention_weights(q: np.ndarray, k: np.ndarray, heads: int) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def attention(q, k, v, heads: int) -> Tensor:
+def attention(q, k, v, heads: int, lengths=None) -> Tensor:
     """Multi-head scaled dot-product attention over [T, heads * d] projections.
 
     Head h attends with the weights softmax(q_h k_h^T / sqrt(d)) of its
     column block and returns weights @ v_h; the heads' contexts come back
     side by side as [T, heads * d_v].  Fused primitive: all heads run as
     batched matmuls on [heads, T, d] views (Vaswani et al. 2017, section
-    3.2.2), so a whole attention layer is one tape node.
+    3.2.2), so a whole attention layer is one tape node.  With ``lengths``,
+    the rows pack several sequences and each attends only within itself.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.data.ndim != 2 or q.data.shape != k.data.shape or v.data.ndim != 2 \
@@ -406,21 +495,28 @@ def attention(q, k, v, heads: int) -> Tensor:
                          f"{q.data.shape}, {k.data.shape} and {v.data.shape}")
     if heads < 1 or q.data.shape[1] % heads or v.data.shape[1] % heads:
         raise ShapeError(f"attention: {heads} heads do not split widths {q.data.shape[1]} and {v.data.shape[1]}")
-    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
-    scale = 1.0 / math.sqrt(qh.shape[-1])
-    weights = _attention_weights(q.data, k.data, heads)
+    lens = _segments(lengths, q.data.shape[0], "attention")
+    bounds = np.concatenate(([0], np.cumsum(lens))).tolist()
+    spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    scale = 1.0 / math.sqrt(q.data.shape[1] // heads)
+    weights = [_attention_weights(q.data[s], k.data[s], heads) for s in spans]
+    out = np.empty(v.data.shape)
+    for s, w in zip(spans, weights):
+        out[s] = _merge_heads(np.matmul(w, _split_heads(v.data[s], heads)))
 
     def vjp(g):
-        gh = _split_heads(g, heads)
-        g_weights = np.matmul(gh, vh.swapaxes(-1, -2))
-        g_v = np.matmul(weights.swapaxes(-1, -2), gh)
-        dot = (g_weights * weights).sum(axis=-1, keepdims=True)
-        g_scores = weights * (g_weights - dot) * scale
-        g_q = np.matmul(g_scores, kh)
-        g_k = np.matmul(qh.swapaxes(-1, -2), g_scores).swapaxes(-1, -2)
-        return _merge_heads(g_q), _merge_heads(g_k), _merge_heads(g_v)
+        g_q, g_k, g_v = np.empty(q.data.shape), np.empty(k.data.shape), np.empty(v.data.shape)
+        for s, w in zip(spans, weights):
+            qh, kh, vh, gh = (_split_heads(a[s], heads) for a in (q.data, k.data, v.data, g))
+            g_weights = np.matmul(gh, vh.swapaxes(-1, -2))
+            g_v[s] = _merge_heads(np.matmul(w.swapaxes(-1, -2), gh))
+            dot = (g_weights * w).sum(axis=-1, keepdims=True)
+            g_scores = w * (g_weights - dot) * scale
+            g_q[s] = _merge_heads(np.matmul(g_scores, kh))
+            g_k[s] = _merge_heads(np.matmul(qh.swapaxes(-1, -2), g_scores).swapaxes(-1, -2))
+        return g_q, g_k, g_v
 
-    return _make(_merge_heads(np.matmul(weights, vh)), "attention", (q, k, v), vjp)
+    return _make(out, "attention", (q, k, v), vjp)
 
 
 # -- backward pass --------------------------------------------------------
@@ -447,7 +543,12 @@ def _topo_order(loss: Tensor):
 
 
 def backward(loss: Tensor):
-    """Populate ``grad`` on every requires-grad tensor reachable from ``loss``."""
+    """Populate ``grad`` on every requires-grad leaf reachable from ``loss``.
+
+    The graph is consumed: once a node's adjoint has run, its ``grad``,
+    adjoint closure and parent links are dropped, so the arrays the tape
+    saved are released as the pass runs and a graph can be replayed once.
+    """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
@@ -458,7 +559,10 @@ def backward(loss: Tensor):
         if node._vjp is None:
             continue
         grads = node._vjp(node.grad)
-        for parent, g in zip(node._parents, grads):
+        parents = node._parents
+        node.grad = node._vjp = None
+        node._parents = ()
+        for parent, g in zip(parents, grads):
             if not parent.requires_grad or g is None:
                 continue
             # accumulation rebinds rather than mutating, so aliased arrays

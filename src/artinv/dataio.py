@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import features as feat
 from .errors import DataError
-from .model import InversionModel, ModelConfig
+from .model import PARTITIONS, InversionModel, ModelConfig
 
 MANIFEST_COLUMNS = ("utterance_id", "speaker_id", "features", "alignment", "ema")
 
@@ -128,6 +129,9 @@ def _load_utterance(utt_id, speaker_id, base: Path, feat_rel, align_rel, ema_rel
     else:
         mfcc = read_matrix_csv(feat_path, expect_columns=cfg.feature_dim)
         hop_s = cfg.hop_seconds()
+    bad = np.flatnonzero(~np.isfinite(mfcc).all(axis=1))
+    if bad.size:
+        raise DataError(f"{feat_path.name}: non-finite feature value in frame {bad[0]}")
     frames = mfcc.shape[0]
     phonemes = feat.encode_phonemes(feat.read_alignment(base / align_rel), frames, hop_s)
     ema = feat.align_ema(feat.read_ema_csv(base / ema_rel), frames, hop_s)
@@ -348,12 +352,13 @@ def load_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise CheckpointTruncatedError(f"{path}: header unreadable") from None
 
+    _check_header(header, path)
     arrays = {}
     partitions = {}
     offset = head_len + header_len
     for entry in header["arrays"]:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         nbytes = count * 8
         if offset + nbytes > len(body):
             raise CheckpointTruncatedError(f"{path}: parameter data truncated at {entry['name']}")
@@ -374,8 +379,49 @@ def load_checkpoint(path) -> Checkpoint:
     )
 
 
+_HEADER_TYPES = {
+    "scenario": (str, type(None)),
+    "seed": (int, type(None)),
+    "hyper": dict,
+    "feature_config_hash": str,
+    "model_config": dict,
+    "arrays": list,
+}
+
+
+def _check_header(header, path) -> None:
+    """Raise CheckpointError unless the header has the keys and value types
+    ``save_checkpoint`` writes: every array entry a name, a partition tag
+    and a shape of non-negative integers."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    for key, types in _HEADER_TYPES.items():
+        if key not in header:
+            raise CheckpointError(f"{path}: header has no {key!r}")
+        if not isinstance(header[key], types) or isinstance(header[key], bool):
+            raise CheckpointError(f"{path}: header {key!r} has type {type(header[key]).__name__}")
+    names = set()
+    for i, entry in enumerate(header["arrays"]):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
+            raise CheckpointError(f"{path}: array entry {i} has no name")
+        name = entry["name"]
+        if name in names:
+            raise CheckpointError(f"{path}: array {name!r} listed twice")
+        names.add(name)
+        if entry.get("partition") not in PARTITIONS + ("stats",):
+            raise CheckpointError(f"{path}: array {name!r} has unknown partition {entry.get('partition')!r}")
+        shape = entry.get("shape")
+        if not (isinstance(shape, list)
+                and all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)):
+            raise CheckpointError(f"{path}: array {name!r} has malformed shape {shape!r}")
+
+
 def model_from_checkpoint(ckpt: Checkpoint) -> InversionModel:
-    model = InversionModel(ModelConfig.from_dict(ckpt.model_config), seed=ckpt.seed or 0)
+    try:
+        config = ModelConfig.from_dict(ckpt.model_config)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint model_config is unusable: {exc}") from None
+    model = InversionModel(config, seed=ckpt.seed or 0)
     model.load_state_arrays(ckpt.arrays)
     return model
 

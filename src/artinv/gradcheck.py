@@ -28,6 +28,8 @@ def primitive_suite(seed: int = 0) -> dict[str, float]:
         w = Tensor(np.linspace(0.5, 1.5, y.data.size).reshape(y.data.shape))
         return ad.tsum(ad.mul(y, w))
 
+    lstm_weights = (Tensor(np.linspace(-1, 1, 32).reshape(4, 8)), Tensor(np.linspace(1, -0.5, 16).reshape(2, 8)),
+                    Tensor(np.linspace(-0.3, 0.3, 8)))
     cases = {
         "add": lambda x: ad.add(x, Tensor(np.ones_like(x.data))),
         "sub": lambda x: ad.sub(x, Tensor(np.ones_like(x.data))),
@@ -42,6 +44,13 @@ def primitive_suite(seed: int = 0) -> dict[str, float]:
         "sum": lambda x: ad.tsum(x, axis=0),
         "concat": lambda x: ad.concat([x, ad.square(x)], axis=-1),
         "attention": lambda x: ad.attention(x, ad.square(x), ad.tanh(x), heads=2),
+        "lstm_sequence": lambda x: ad.lstm_sequence(x, *lstm_weights, hidden=2),
+        # two sequences of 1 and 2 frames packed along the frame axis
+        "conv1d_packed": lambda x: ad.conv1d(x, Tensor(np.linspace(-1, 1, 24).reshape(2, 4, 3)),
+                                             Tensor(np.array([0.1, -0.2])), lengths=(1, 2)),
+        "attention_packed": lambda x: ad.attention(x, ad.square(x), ad.tanh(x), heads=2, lengths=(1, 2)),
+        "lstm_sequence_packed": lambda x: ad.lstm_sequence(x, *lstm_weights, hidden=2, lengths=(2, 1),
+                                                           reverse=True),
     }
     results = {}
     for name, op in cases.items():

@@ -3,7 +3,9 @@ normalization, bidirectional LSTM, dense layers, and the Adam optimizer.
 
 Layers hold their parameters as requires-grad tensors and expose
 ``parameters()`` as (name, tensor) pairs; forward passes build the
-gradient tape through the autodiff primitives.
+gradient tape through the autodiff primitives.  The sequence layers
+(convolution, attention, BLSTM) take optional segment ``lengths`` for
+inputs that pack several sequences along the frame axis.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ class Conv1DLayer:
         yield "weight", self.weight
         yield "bias", self.bias
 
-    def forward(self, x: Tensor) -> Tensor:
-        return ad.conv1d(x, self.weight, self.bias, padding="same")
+    def forward(self, x: Tensor, lengths=None) -> Tensor:
+        return ad.conv1d(x, self.weight, self.bias, padding="same", lengths=lengths)
 
 
 class ConvBank:
@@ -80,10 +82,10 @@ class ConvBank:
             for name, p in branch.parameters():
                 yield f"k{k}.{name}", p
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, lengths=None) -> Tensor:
         if x.data.shape[0] < 1:
             raise ShapeError("conv bank: input has no frames")
-        return ad.concat([branch.forward(x) for branch in self.branches], axis=1)
+        return ad.concat([branch.forward(x, lengths) for branch in self.branches], axis=1)
 
 
 class LayerNorm:
@@ -131,11 +133,14 @@ class MultiHeadAttention:
         yield "wv", self.wv
         yield "wo", self.wo
 
-    def forward(self, x: Tensor, return_weights: bool = False):
+    def forward(self, x: Tensor, lengths=None, return_weights: bool = False):
+        """Attention within each of the ``lengths`` segments of ``x`` (one
+        segment by default); ``return_weights`` also returns each head's
+        [T, T] weights of a one-segment input."""
         if x.data.shape[-1] != self.model_dim:
             raise ShapeError(f"attention: expected feature dim {self.model_dim}, got {x.data.shape[-1]}")
         q, k, v = (ad.matmul(x, w) for w in (self.wq, self.wk, self.wv))
-        out = ad.add(x, ad.matmul(ad.attention(q, k, v, self.heads), self.wo))
+        out = ad.add(x, ad.matmul(ad.attention(q, k, v, self.heads, lengths), self.wo))
         if return_weights:
             return out, [Tensor(w) for w in ad._attention_weights(q.data, k.data, self.heads)]
         return out
@@ -158,9 +163,9 @@ class AttentionEncoder:
         for name, p in self.norm.parameters():
             yield f"norm.{name}", p
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, lengths=None) -> Tensor:
         for layer in self.layers:
-            x = layer.forward(x)
+            x = layer.forward(x, lengths)
         return self.norm.forward(x)
 
 
@@ -180,13 +185,13 @@ class _LSTMCell:
         yield "wh", self.wh
         yield "bias", self.bias
 
-    def run(self, x: Tensor) -> Tensor:
-        return ad.lstm_sequence(x, self.wx, self.wh, self.bias, self.hidden)
+    def run(self, x: Tensor, lengths=None, reverse: bool = False) -> Tensor:
+        return ad.lstm_sequence(x, self.wx, self.wh, self.bias, self.hidden, lengths, reverse)
 
 
 class BLSTMLayer:
     """Bidirectional LSTM: per frame the forward state and the backward state
-    (the forward cell run on the time-reversed sequence, re-reversed) are
+    (the second cell run from each sequence's last frame to its first) are
     concatenated, giving [T, 2 * hidden]."""
 
     def __init__(self, input_dim: int, hidden: int = 150, rng=None):
@@ -201,11 +206,11 @@ class BLSTMLayer:
         for name, p in self.bw.parameters():
             yield f"bw.{name}", p
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, lengths=None) -> Tensor:
         if x.data.shape[-1] != self.input_dim:
             raise ShapeError(f"blstm: expected input dim {self.input_dim}, got {x.data.shape[-1]}")
-        forward_states = self.fw.run(x)
-        backward_states = ad.flip(self.bw.run(ad.flip(x, axis=0)), axis=0)
+        forward_states = self.fw.run(x, lengths)
+        backward_states = self.bw.run(x, lengths, reverse=True)
         return ad.concat([forward_states, backward_states], axis=1)
 
 

@@ -94,9 +94,9 @@ class SpeechStream:
         for name, p in self.fc2.parameters():
             yield f"fc2.{name}", p
 
-    def forward(self, mfcc: Tensor) -> Tensor:
-        local = self.conv_bank.forward(mfcc)
-        global_feats = self.encoder.forward(self.in_proj.forward(mfcc))
+    def forward(self, mfcc: Tensor, lengths=None) -> Tensor:
+        local = self.conv_bank.forward(mfcc, lengths)
+        global_feats = self.encoder.forward(self.in_proj.forward(mfcc), lengths)
         return self.fc2.forward(self.fc1.forward(ad.concat([local, global_feats], axis=1)))
 
 
@@ -121,8 +121,8 @@ class PhonemeStream:
         for name, p in self.fc2.parameters():
             yield f"fc2.{name}", p
 
-    def forward(self, phonemes: Tensor) -> Tensor:
-        x = self.blstm3.forward(self.blstm2.forward(self.blstm1.forward(phonemes)))
+    def forward(self, phonemes: Tensor, lengths=None) -> Tensor:
+        x = self.blstm3.forward(self.blstm2.forward(self.blstm1.forward(phonemes, lengths), lengths), lengths)
         return self.fc2.forward(self.fc1.forward(x))
 
 
@@ -140,8 +140,8 @@ class SpeechFusion:
         for name, p in self.fc.parameters():
             yield f"fc.{name}", p
 
-    def forward(self, speech: Tensor) -> Tensor:
-        return self.fc.forward(self.blstm.forward(speech))
+    def forward(self, speech: Tensor, lengths=None) -> Tensor:
+        return self.fc.forward(self.blstm.forward(speech, lengths))
 
 
 class InversionHead:
@@ -161,9 +161,9 @@ class InversionHead:
         for name, p in self.fc.parameters():
             yield f"fc.{name}", p
 
-    def forward(self, fused: Tensor, phoneme_pred: Tensor | None) -> Tensor:
+    def forward(self, fused: Tensor, phoneme_pred: Tensor | None, lengths=None) -> Tensor:
         x = fused if phoneme_pred is None else ad.concat([fused, phoneme_pred], axis=1)
-        return self.fc.forward(self.blstm.forward(x))
+        return self.fc.forward(self.blstm.forward(x, lengths))
 
 
 class InversionModel:
@@ -223,18 +223,21 @@ class InversionModel:
             p.zero_grad()
 
     # -- forward ------------------------------------------------------------
-    def forward(self, mfcc: np.ndarray | None, phonemes: np.ndarray | None):
+    def forward(self, mfcc: np.ndarray | None, phonemes: np.ndarray | None, lengths=None):
         """Returns (inversion_pred, phoneme_pred) as tensors in normalized target
-        space; either may be None depending on the inputs and variant."""
+        space; either may be None depending on the inputs and variant.
+
+        ``lengths`` splits the frame axis into utterances packed one after
+        another (one utterance by default); each is processed as if alone."""
         if mfcc is not None and phonemes is not None and mfcc.shape[0] != phonemes.shape[0]:
             raise ShapeError(f"frame counts differ between streams: {mfcc.shape[0]} vs {phonemes.shape[0]}")
         phoneme_pred = None
         if self.phoneme is not None and phonemes is not None:
-            phoneme_pred = self.phoneme.forward(Tensor(phonemes))
+            phoneme_pred = self.phoneme.forward(Tensor(phonemes), lengths)
         inversion_pred = None
         if mfcc is not None:
-            fused = self.fusion.forward(self.speech.forward(Tensor(mfcc)))
-            inversion_pred = self.head.forward(fused, phoneme_pred)
+            fused = self.fusion.forward(self.speech.forward(Tensor(mfcc), lengths), lengths)
+            inversion_pred = self.head.forward(fused, phoneme_pred, lengths)
         return inversion_pred, phoneme_pred
 
     def predict(self, mfcc: np.ndarray | None, phonemes: np.ndarray | None) -> dict[str, np.ndarray]:
@@ -270,18 +273,21 @@ class InversionModel:
         self.target_std = arrays["stats.target_std"].copy()
 
 
-def l2_term(pred: Tensor, target: Tensor, reduction: str = "sum") -> Tensor:
-    """Sum over frames of the squared error summed over channels; with
-    reduction='frame_mean' the sum over frames becomes a mean (used for
-    training so utterance length does not rescale the step)."""
+def l2_term(pred: Tensor, target: Tensor, reduction: str = "sum", lengths=None) -> Tensor:
+    """Per utterance, the sum over frames of the squared error summed over
+    channels, as a [utterances, 1] tensor (``lengths`` splits the frames,
+    one utterance by default); with reduction='frame_mean' the sum over
+    frames becomes a mean (used for training so utterance length does not
+    rescale the step)."""
     if pred.data.shape != target.data.shape:
         raise ShapeError(f"loss: prediction shape {pred.data.shape} != target shape {target.data.shape}")
-    per_frame = ad.tsum(ad.square(ad.sub(pred, target)), axis=1)
+    if reduction not in ("sum", "frame_mean"):
+        raise ValueError(f"unknown reduction {reduction!r}")
+    per_frame = ad.tsum(ad.square(ad.sub(pred, target)), axis=1, keepdims=True)
+    lengths = lengths or (pred.data.shape[0],)
     if reduction == "sum":
-        return ad.tsum(per_frame)
-    if reduction == "frame_mean":
-        return ad.tmean(per_frame)
-    raise ValueError(f"unknown reduction {reduction!r}")
+        return ad.tsum(per_frame, lengths=lengths)
+    return ad.tmean(per_frame, lengths=lengths)
 
 
 @dataclass(frozen=True)
@@ -343,14 +349,16 @@ def apply_scenario(scenario: Scenario, model: InversionModel,
 
 
 def scenario_loss(scenario: Scenario, inversion_pred, phoneme_pred, target: Tensor,
-                  weights=(1.0, 1.0), reduction: str = "frame_mean") -> Tensor:
-    """Per-utterance loss with only the scenario's terms included."""
+                  weights=(1.0, 1.0), reduction: str = "frame_mean", lengths=None) -> Tensor:
+    """Per-utterance losses with only the scenario's terms included, as a
+    [utterances, 1] tensor: one row per segment of ``lengths`` (a single
+    row by default)."""
     w_inv, w_phoneme = weights
     terms = []
     if "inversion" in scenario.loss_terms:
-        terms.append(ad.mul(l2_term(inversion_pred, target, reduction), w_inv))
+        terms.append(ad.mul(l2_term(inversion_pred, target, reduction, lengths), w_inv))
     if "phoneme" in scenario.loss_terms:
-        terms.append(ad.mul(l2_term(phoneme_pred, target, reduction), w_phoneme))
+        terms.append(ad.mul(l2_term(phoneme_pred, target, reduction, lengths), w_phoneme))
     loss = terms[0]
     for t in terms[1:]:
         loss = ad.add(loss, t)

@@ -1,5 +1,12 @@
 """Training loop: seeded shuffled batching over variable-length utterances,
-per-utterance gradient accumulation, one Adam step per batch."""
+packed batch-major forward and backward passes, one Adam step per batch.
+
+A batch's utterances are concatenated along the frame axis into groups of
+at most ``PACK_FRAMES`` frames.  Each group runs one forward over the
+packed ``[sum(T), .]`` arrays, the sequence layers keeping the utterances
+apart by their lengths, and one backward; an utterance longer than the
+limit runs alone.  The limit bounds the tape a group holds at once.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ShapeError, Tensor
 from .errors import DataError, NumericalError, UsageError
 from .layers import Adam
 from .model import InversionModel, Scenario, scenario_loss
 
 log = logging.getLogger(__name__)
+
+PACK_FRAMES = 512
 
 
 @dataclass(frozen=True)
@@ -55,13 +64,52 @@ def target_stats(samples) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.where(std > 1e-10, std, 1.0)
 
 
-def _utterance_loss(model: InversionModel, scenario: Scenario, sample, weights):
-    mfcc = sample.mfcc if scenario.use_mfcc else None
-    phonemes = sample.phonemes if scenario.use_phonemes else None
-    inversion_pred, phoneme_pred = model.forward(mfcc, phonemes)
-    target = Tensor((sample.ema - model.target_mean) / model.target_std)
+def pack_groups(samples, limit: int = PACK_FRAMES) -> list:
+    """Split ``samples``, in order, into consecutive groups of at most
+    ``limit`` frames; an utterance longer than ``limit`` forms a group alone."""
+    groups, frames = [], 0
+    for sample in samples:
+        count = sample.ema.shape[0]
+        if not groups or frames + count > limit:
+            groups.append([])
+            frames = 0
+        groups[-1].append(sample)
+        frames += count
+    return groups
+
+
+def _group_losses(model: InversionModel, scenario: Scenario, group, weights) -> Tensor:
+    """One forward over the group's utterances packed along the frame axis;
+    returns their per-utterance losses as a [len(group), 1] tensor."""
+    for sample in group:
+        if not sample.mfcc.shape[0] == sample.phonemes.shape[0] == sample.ema.shape[0]:
+            raise ShapeError(f"utterance {sample.utterance_id}: streams have {sample.mfcc.shape[0]}, "
+                             f"{sample.phonemes.shape[0]} and {sample.ema.shape[0]} frames")
+    lengths = tuple(sample.ema.shape[0] for sample in group)
+    mfcc = np.concatenate([s.mfcc for s in group]) if scenario.use_mfcc else None
+    phonemes = np.concatenate([s.phonemes for s in group]) if scenario.use_phonemes else None
+    inversion_pred, phoneme_pred = model.forward(mfcc, phonemes, lengths)
+    target = Tensor((np.concatenate([s.ema for s in group]) - model.target_mean) / model.target_std)
     return scenario_loss(scenario, inversion_pred, phoneme_pred, target,
-                         weights=weights, reduction="frame_mean")
+                         weights=weights, reduction="frame_mean", lengths=lengths)
+
+
+def _finite_values(losses: Tensor, group, stage: str) -> list:
+    """Per-utterance loss values; the first non-finite one names its utterance."""
+    values = losses.data[:, 0].tolist()
+    for sample, value in zip(group, values):
+        if not np.isfinite(value):
+            raise NumericalError(f"non-finite {stage} loss on utterance {sample.utterance_id}")
+    return values
+
+
+def _train_group(model: InversionModel, scenario: Scenario, group, weights, inv_count: float) -> list:
+    """Forward and backward of one packed group; gradients accumulate on the
+    parameters.  The group's tape is gone when this returns."""
+    losses = _group_losses(model, scenario, group, weights)
+    values = _finite_values(losses, group, "training")
+    ad.backward(ad.mul(ad.tsum(losses), inv_count))
+    return values
 
 
 def train_model(model: InversionModel, scenario: Scenario, train_samples, val_samples,
@@ -69,8 +117,10 @@ def train_model(model: InversionModel, scenario: Scenario, train_samples, val_sa
     """Train in place and return the per-epoch loss trace.
 
     The model's trainability must already be configured (apply_scenario).
-    Targets are z-scored with statistics from the training samples; batches
-    accumulate per-utterance gradients and take one Adam step.
+    Targets are z-scored with statistics from the training samples.  Each
+    batch is packed into groups of at most ``PACK_FRAMES`` frames; each group
+    runs one forward and one backward of its summed per-utterance losses
+    weighted by 1/batch size, and the batch takes one Adam step.
     """
     usable = [s for s in train_samples if s.ema.shape[0] > 0]
     skipped = [s.utterance_id for s in train_samples if s.ema.shape[0] == 0]
@@ -93,14 +143,8 @@ def train_model(model: InversionModel, scenario: Scenario, train_samples, val_sa
         for start in range(0, len(order), hyper.batch_size):
             batch = [usable[i] for i in order[start:start + hyper.batch_size]]
             optimizer.zero_grad()
-            inv_count = 1.0 / len(batch)
-            for sample in batch:
-                loss = _utterance_loss(model, scenario, sample, hyper.loss_weights)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise NumericalError(f"non-finite training loss on utterance {sample.utterance_id}")
-                epoch_losses.append(value)
-                ad.backward(ad.mul(loss, inv_count))
+            for group in pack_groups(batch):
+                epoch_losses += _train_group(model, scenario, group, hyper.loss_weights, 1.0 / len(batch))
             optimizer.step()
         train_loss = float(np.mean(epoch_losses))
         val_loss = evaluate_loss(model, scenario, val_samples, hyper.loss_weights) if val_samples else float("nan")
@@ -110,15 +154,10 @@ def train_model(model: InversionModel, scenario: Scenario, train_samples, val_sa
 
 
 def evaluate_loss(model: InversionModel, scenario: Scenario, samples, weights=(1.0, 1.0)) -> float:
-    """Mean per-utterance loss without touching parameters or the tape."""
+    """Mean per-utterance loss without touching parameters or the tape;
+    utterances run in the same packed groups as training."""
     values = []
     with ad.no_grad():
-        for sample in samples:
-            if sample.ema.shape[0] == 0:
-                continue
-            loss = _utterance_loss(model, scenario, sample, weights)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise NumericalError(f"non-finite validation loss on utterance {sample.utterance_id}")
-            values.append(value)
+        for group in pack_groups([s for s in samples if s.ema.shape[0] > 0]):
+            values += _finite_values(_group_losses(model, scenario, group, weights), group, "validation")
     return float(np.mean(values)) if values else float("nan")

@@ -1,14 +1,17 @@
 """Manifests, the synthetic corpus generator, and checkpoint persistence."""
 
 import hashlib
+import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from artinv import dataio
 from artinv.dataio import (
-    CheckpointCompatError, CheckpointIntegrityError,
+    CheckpointCompatError, CheckpointError, CheckpointIntegrityError,
     CheckpointTruncatedError, CheckpointVersionError, SyntheticSpec,
     generate_synthetic, load_checkpoint, load_manifest, model_from_checkpoint,
     require_compatible, save_checkpoint,
@@ -121,6 +124,37 @@ class TestManifest:
         with pytest.raises(DataError, match="s01_u001"):
             load_manifest(manifest)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_features_name_the_utterance(self, tmp_path, value):
+        manifest = generate_synthetic(SyntheticSpec(speakers=1, utterances_per_speaker=2, seed=2), tmp_path)
+        feat_file = tmp_path / "s01" / "s01_u002.mfcc.csv"
+        rows = feat_file.read_text().splitlines()
+        rows[1] = ",".join([value] * 39)
+        feat_file.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DataError, match="s01_u002.*non-finite feature value in frame 1"):
+            load_manifest(manifest)
+
+
+def reseal(raw: bytes, header) -> bytes:
+    """The checkpoint ``raw`` with its JSON header replaced by ``header``,
+    the length field and the SHA-256 trailer made to match."""
+    head_len = len(dataio.MAGIC) + struct.calcsize("<HI")
+    version, old_len = struct.unpack_from("<HI", raw, len(dataio.MAGIC))
+    header_bytes = json.dumps(header).encode()
+    body = (raw[:len(dataio.MAGIC)] + struct.pack("<HI", version, len(header_bytes)) + header_bytes
+            + raw[head_len + old_len:-32])
+    return body + hashlib.sha256(body).digest()
+
+
+def read_header(raw: bytes) -> dict:
+    head_len = len(dataio.MAGIC) + struct.calcsize("<HI")
+    _, length = struct.unpack_from("<HI", raw, len(dataio.MAGIC))
+    return json.loads(raw[head_len:head_len + length])
+
+
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 10**12), st.text(max_size=4),
+                        st.lists(st.integers(-2, 3), max_size=3), st.dictionaries(st.text(max_size=3), st.none()))
+
 
 class TestCheckpoint:
     def make_model(self, seed=0):
@@ -210,3 +244,48 @@ class TestCheckpoint:
         path.write_bytes(body + hashlib.sha256(body).digest())
         with pytest.raises(CheckpointVersionError, match="version"):
             load_checkpoint(path)
+
+    def test_header_without_arrays_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self.make_model(), "h")
+        raw = path.read_bytes()
+        header = read_header(raw)
+        del header["arrays"]
+        path.write_bytes(reseal(raw, header))
+        with pytest.raises(CheckpointError, match="no 'arrays'"):
+            load_checkpoint(path)
+
+    def test_unknown_model_config_key_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self.make_model(), "h")
+        raw = path.read_bytes()
+        header = read_header(raw)
+        header["model_config"]["dropout"] = 0.1
+        path.write_bytes(reseal(raw, header))
+        with pytest.raises(CheckpointError, match="model_config.*dropout"):
+            model_from_checkpoint(load_checkpoint(path))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_header_mutation_fuzz(self, tmp_path, data):
+        """A re-sealed header with one key dropped or one value replaced
+        loads or raises CheckpointError, never anything else."""
+        path = tmp_path / "m.ckpt"
+        if not path.exists():
+            save_checkpoint(path, self.make_model(), "h", scenario="S3", seed=1)
+        raw = path.read_bytes()
+        header = read_header(raw)
+        entries = header["arrays"]
+        where = data.draw(st.sampled_from(["top", "entry"]))
+        target = header if where == "top" else entries[data.draw(st.integers(0, len(entries) - 1))]
+        key = data.draw(st.sampled_from(sorted(target)))
+        if data.draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = data.draw(JSON_VALUES)
+        mutated = tmp_path / "mutated.ckpt"
+        mutated.write_bytes(reseal(raw, header))
+        try:
+            load_checkpoint(mutated)
+        except CheckpointError:
+            pass

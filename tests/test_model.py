@@ -9,9 +9,9 @@ from artinv import autodiff as ad
 from artinv import model as mdl
 from artinv.autodiff import ShapeError, Tensor
 from artinv.dataio import UtteranceSample
-from artinv.errors import UsageError
+from artinv.errors import NumericalError, UsageError
 from artinv.model import InversionModel, ModelConfig, SCENARIOS, apply_scenario, scenario_loss
-from artinv.training import Hyper, evaluate_loss, train_model
+from artinv.training import PACK_FRAMES, Hyper, evaluate_loss, pack_groups, train_model
 
 SMALL = ModelConfig(
     conv_channels=4, kernel_sizes=(1, 3), attn_model_dim=16, attn_layers=2,
@@ -259,3 +259,69 @@ class TestTraining:
         res = train_model(model, SCENARIOS["S1"], samples, samples[:1], Hyper(epochs=5, batch_size=2), seed=31)
         assert [row[0] for row in res.trace] == [1, 2, 3, 4, 5]
         assert all(np.isfinite(row[1]) for row in res.trace)
+
+
+def packed_losses(model, scenario, samples):
+    """Per-utterance losses of one packed forward, and the model outputs."""
+    lengths = tuple(s.ema.shape[0] for s in samples)
+    inv, pho = model.forward(np.concatenate([s.mfcc for s in samples]),
+                             np.concatenate([s.phonemes for s in samples]), lengths)
+    target = Tensor(np.concatenate([s.ema for s in samples]))
+    return scenario_loss(scenario, inv, pho, target, lengths=lengths), inv, pho
+
+
+class TestPacking:
+    def test_packed_equals_sum_of_utterances_full_size(self):
+        """One packed forward/backward of the full-size model gives each
+        utterance's loss and the summed per-utterance gradients."""
+        model = InversionModel(ModelConfig(), seed=40)
+        apply_scenario(S3, model)
+        samples = make_samples(3, frames=1, seed=41)
+        samples[0] = UtteranceSample("one", "a", samples[0].mfcc[:1], samples[0].phonemes[:1], samples[0].ema[:1])
+        params = model.parameters()
+
+        single, summed = [], {}
+        for sample in samples:
+            loss, _, _ = packed_losses(model, S3, [sample])
+            single.append(loss.item())
+            ad.backward(loss)
+            for name, p in params.items():
+                summed[name] = summed.get(name, 0.0) + p.grad
+                p.zero_grad()
+
+        losses, _, _ = packed_losses(model, S3, samples)
+        np.testing.assert_allclose(losses.data[:, 0], single, rtol=1e-12, atol=0)
+        ad.backward(ad.tsum(losses))
+        for name, p in params.items():
+            scale = np.max(np.abs(summed[name]))
+            assert np.max(np.abs(p.grad - summed[name])) <= 1e-12 * scale, name
+
+    def test_perturbing_one_utterance_leaves_the_others_bitwise(self):
+        model = InversionModel(SMALL, seed=42)
+        samples = make_samples(4, seed=43)
+        before = packed_losses(model, S3, samples)
+        changed = list(samples)
+        changed[2] = UtteranceSample("u002", "a", samples[2].mfcc + 1.0, samples[2].phonemes[::-1].copy(),
+                                     samples[2].ema)
+        after = packed_losses(model, S3, changed)
+        bounds = np.cumsum([0] + [s.ema.shape[0] for s in samples])
+        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            same = [np.array_equal(b.data[lo:hi], a.data[lo:hi]) for b, a in zip(before[1:], after[1:])]
+            same.append(np.array_equal(before[0].data[i], after[0].data[i]))
+            assert all(same) == (i != 2), i
+
+    def test_non_finite_features_name_the_utterance(self):
+        model = InversionModel(SMALL, seed=44)
+        apply_scenario(S3, model)
+        samples = make_samples(5, seed=45)
+        samples[3].mfcc[1, 4] = np.nan  # the loader would reject this; train_model must still name it
+        with pytest.raises(NumericalError, match="u003"):
+            train_model(model, S3, samples, [], Hyper(epochs=1, batch_size=5), seed=46)
+
+    def test_groups_keep_order_and_frame_limit(self):
+        def sample(i, frames):
+            return UtteranceSample(f"u{i}", "a", np.zeros((frames, 39)), np.zeros((frames, 39)), np.zeros((frames, 12)))
+
+        frames = [200, 300, 13, PACK_FRAMES + 1, 5, PACK_FRAMES]
+        groups = pack_groups([sample(i, n) for i, n in enumerate(frames)])
+        assert [[s.utterance_id for s in g] for g in groups] == [["u0", "u1"], ["u2"], ["u3"], ["u4"], ["u5"]]
