@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -299,7 +300,12 @@ def save_checkpoint(path, model: InversionModel, feature_hash: str,
                     scenario: str | None = None, hyper: dict | None = None,
                     seed: int | None = None) -> None:
     """Binary container: magic, version, JSON header, raw little-endian
-    float64 blobs, SHA-256 trailer.  Round-trips bit-exactly."""
+    float64 blobs, SHA-256 trailer.  Round-trips bit-exactly.
+
+    The parts stream through the hash straight from the arrays' memory into
+    ``<path>.tmp``, which then replaces ``path``: no copy of the container is
+    held in memory, and an interrupted save never leaves a partial file under
+    the real name."""
     arrays = model.state_arrays()
     entries = []
     for name, arr in arrays.items():
@@ -315,16 +321,26 @@ def save_checkpoint(path, model: InversionModel, feature_hash: str,
         "arrays": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<HI", FORMAT_VERSION, len(header_bytes))
-    blob += header_bytes
-    for name in arrays:
-        blob += np.ascontiguousarray(arrays[name], dtype="<f8").tobytes()
-    blob += hashlib.sha256(bytes(blob)).digest()
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    digest = hashlib.sha256()
+    try:
+        with open(tmp, "wb") as fh:
+            def put(chunk):
+                digest.update(chunk)
+                fh.write(chunk)
+
+            put(MAGIC)
+            put(struct.pack("<HI", FORMAT_VERSION, len(header_bytes)))
+            put(header_bytes)
+            for arr in arrays.values():
+                put(np.ascontiguousarray(arr, dtype="<f8"))  # by buffer, no copy
+            fh.write(digest.digest())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -343,12 +359,12 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointVersionError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
 
     digest = raw[-32:]
-    body = raw[:-32]
+    body = memoryview(raw)[:-32]
     if hashlib.sha256(body).digest() != digest:
         raise CheckpointIntegrityError(f"{path}: checksum mismatch (corrupted or tampered)")
 
     try:
-        header = json.loads(body[head_len:head_len + header_len].decode())
+        header = json.loads(bytes(body[head_len:head_len + header_len]).decode())
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise CheckpointTruncatedError(f"{path}: header unreadable") from None
 

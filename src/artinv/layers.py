@@ -214,8 +214,23 @@ class BLSTMLayer:
         return ad.concat([forward_states, backward_states], axis=1)
 
 
+# Elements per Adam block: 256 KB of float64, so a block of the gradient,
+# both moments, the parameter and the two scratch blocks fit in a 2 MB L2.
+ADAM_BLOCK = 32768
+
+
 class Adam:
-    """Adam with bias correction; update is lr * m_hat / (sqrt(v_hat) + eps)."""
+    """Adam with bias correction.
+
+    ``step`` allocates nothing: it walks each flattened parameter in blocks
+    of ``ADAM_BLOCK`` elements and updates the moments and the parameter in
+    place, through two scratch blocks made here.  Per element it performs
+    the textbook operations in the textbook order, so its results are
+    bitwise those of ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g);
+    p -= (lr * (m/c1)) / (sqrt(v/c2) + eps)``.  Gradients are only read (a
+    vjp may hand one array to two parameters); a non-contiguous gradient is
+    copied once to flatten it.
+    """
 
     def __init__(self, params: dict[str, Tensor], learning_rate: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
@@ -227,19 +242,44 @@ class Adam:
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        block = min(ADAM_BLOCK, max((p.data.size for p in self.params.values()), default=0))
+        self._scratch = (np.empty(block), np.empty(block))
 
     def step(self):
         self.step_count += 1
         t = self.step_count
+        b1, b2, lr, eps = self.beta1, self.beta2, self.learning_rate, self.epsilon
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        scratch1, scratch2 = self._scratch
         for name, p in self.params.items():
             if p.grad is None:
                 raise ValueError(f"adam: trainable parameter {name!r} has no gradient")
-            g = p.grad
-            m = self._m[name] = self.beta1 * self._m[name] + (1.0 - self.beta1) * g
-            v = self._v[name] = self.beta2 * self._v[name] + (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            if p.grad.shape != p.data.shape:
+                raise ShapeError(f"adam: gradient of {name!r} has shape {p.grad.shape}, "
+                                 f"parameter {p.data.shape}")
+            assert p.data.flags.c_contiguous, f"adam: parameter {name!r} is not C-contiguous"
+            g_all = p.grad.reshape(-1)
+            p_all = p.data.reshape(-1)
+            m_all = self._m[name].reshape(-1)
+            v_all = self._v[name].reshape(-1)
+            for lo in range(0, p_all.size, ADAM_BLOCK):
+                hi = lo + ADAM_BLOCK
+                g, m, v, x = g_all[lo:hi], m_all[lo:hi], v_all[lo:hi], p_all[lo:hi]
+                s1, s2 = scratch1[:x.size], scratch2[:x.size]
+                np.multiply(m, b1, out=m)             # m = b1*m + (1-b1)*g
+                np.multiply(g, 1.0 - b1, out=s1)
+                np.add(m, s1, out=m)
+                np.multiply(v, b2, out=v)             # v = b2*v + (1-b2)*(g*g)
+                np.multiply(g, g, out=s1)
+                np.multiply(s1, 1.0 - b2, out=s1)
+                np.add(v, s1, out=v)
+                np.divide(v, c2, out=s1)              # denom = sqrt(v/c2) + eps
+                np.sqrt(s1, out=s1)
+                np.add(s1, eps, out=s1)
+                np.divide(m, c1, out=s2)              # p -= (lr * (m/c1)) / denom
+                np.multiply(s2, lr, out=s2)
+                np.divide(s2, s1, out=s2)
+                np.subtract(x, s2, out=x)
 
     def zero_grad(self):
         for p in self.params.values():

@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from artinv import gradcheck
 from artinv.autodiff import Tensor
@@ -114,6 +115,7 @@ def test_criterion_3_conservation_normalization():
            f"var offset {worst_var:.1e}")
 
 
+@pytest.mark.slow
 def test_criterion_4_overfit(tmp_path):
     started = time.monotonic()
     spec = SyntheticSpec(speakers=1, utterances_per_speaker=1, seed=42,
@@ -191,6 +193,7 @@ def test_criterion_6_loso_protocol(tmp_path):
            "8 disjoint folds, each speaker held out once, grand == arithmetic fold mean exactly")
 
 
+@pytest.mark.slow
 def test_criterion_7_directional_ablation(tmp_path):
     # strong phoneme->articulator coupling: anchors are well separated, noise
     # is small, and the rendered acoustics carry articulator detail only

@@ -186,6 +186,35 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "b.ckpt", model, fh, seed=5)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
+    def test_bytes_follow_the_documented_layout(self, tmp_path):
+        model = self.make_model(seed=6)
+        save_checkpoint(tmp_path / "m.ckpt", model, "h", scenario="S1", hyper={"epochs": 3}, seed=6)
+        state = model.state_arrays()
+        header = {
+            "format_version": dataio.FORMAT_VERSION, "scenario": "S1", "seed": 6,
+            "hyper": {"epochs": 3}, "feature_config_hash": "h",
+            "model_config": model.config.to_dict(),
+            "arrays": [{"name": name, "shape": list(arr.shape),
+                        "partition": "stats" if name.startswith("stats.") else model.partition_of(name)}
+                       for name, arr in state.items()],
+        }
+        header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        body = (dataio.MAGIC + struct.pack("<HI", dataio.FORMAT_VERSION, len(header_bytes)) + header_bytes
+                + b"".join(arr.astype("<f8").tobytes() for arr in state.values()))
+        assert (tmp_path / "m.ckpt").read_bytes() == body + hashlib.sha256(body).digest()
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        model = self.make_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, "h")
+        before = path.read_bytes()
+        model.target_std = np.array(["not a number"])  # the last array written
+        with pytest.raises(ValueError):
+            save_checkpoint(path, model, "h")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
     def test_partition_tags_recorded(self, tmp_path):
         model = self.make_model()
         save_checkpoint(tmp_path / "m.ckpt", model, "h")

@@ -1,6 +1,7 @@
 """Layer forward semantics against independent oracles, plus gradient checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,62 @@ class TestAdam:
         opt = layers.Adam({"p": p})
         with pytest.raises(ValueError, match="no gradient"):
             opt.step()
+
+    def test_gradient_shape_mismatch_raises(self):
+        p = Tensor(np.zeros((2, 3)), requires_grad=True)
+        opt = layers.Adam({"p": p})
+        p.grad = np.ones((3, 2))
+        with pytest.raises(ShapeError, match="gradient of 'p'"):
+            opt.step()
+
+    def test_blocked_step_is_bitwise_the_textbook_update(self):
+        lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+        block = layers.ADAM_BLOCK
+        shapes = {"one": (1,), "below": (block - 1,), "exact": (block,), "above": (block + 1,),
+                  "three_and_more": (3 * block + 7,), "matrix": (512, 512), "transposed": (40, 30),
+                  "shared_a": (7, 5), "shared_b": (7, 5)}
+        rng = np.random.default_rng(11)
+        params = {name: Tensor(rng.standard_normal(shape), requires_grad=True)
+                  for name, shape in shapes.items()}
+        theta = {name: p.data.copy() for name, p in params.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        opt = layers.Adam(params, learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+        for t in range(1, 6):
+            grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+            grads["transposed"] = rng.standard_normal((30, 40)).T
+            grads["shared_b"] = grads["shared_a"]
+            assert not grads["transposed"].flags.c_contiguous
+            before = {name: g.copy() for name, g in grads.items()}
+            for name, p in params.items():
+                p.grad = grads[name]
+            opt.step()
+            for name, g in grads.items():
+                m[name] = b1 * m[name] + (1.0 - b1) * g
+                v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+                m_hat = m[name] / (1.0 - b1 ** t)
+                v_hat = v[name] / (1.0 - b2 ** t)
+                theta[name] = theta[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                np.testing.assert_array_equal(g, before[name], err_msg=f"{name}: gradient written")
+                np.testing.assert_array_equal(params[name].data, theta[name], err_msg=f"{name} step {t}")
+                np.testing.assert_array_equal(opt._m[name], m[name], err_msg=name)
+                np.testing.assert_array_equal(opt._v[name], v[name], err_msg=name)
+
+    def test_step_allocates_nothing(self):
+        rng = np.random.default_rng(12)
+        p = Tensor(rng.standard_normal(1 << 20), requires_grad=True)
+        opt = layers.Adam({"p": p})
+        p.grad = rng.standard_normal(1 << 20)
+        opt.step()
+        m, v = opt._m["p"], opt._v["p"]
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"step allocated {peak} bytes at peak"  # one array is 8 MB
+        assert opt._m["p"] is m and opt._v["p"] is v
 
 
 def _layer_cases():
