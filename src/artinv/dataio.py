@@ -23,7 +23,7 @@ import numpy as np
 
 from . import features as feat
 from .errors import DataError
-from .model import PARTITIONS, InversionModel, ModelConfig
+from .model import PARTITIONS, SCENARIOS, InversionModel, ModelConfig
 
 MANIFEST_COLUMNS = ("utterance_id", "speaker_id", "features", "alignment", "ema")
 
@@ -344,6 +344,9 @@ def save_checkpoint(path, model: InversionModel, feature_hash: str,
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read and verify a container written by ``save_checkpoint``.  The
+    arrays are read-only views into the file's bytes, which stay alive as
+    long as any of them does; copy an array before changing it."""
     try:
         raw = Path(path).read_bytes()
     except FileNotFoundError:
@@ -378,7 +381,7 @@ def load_checkpoint(path) -> Checkpoint:
         nbytes = count * 8
         if offset + nbytes > len(body):
             raise CheckpointTruncatedError(f"{path}: parameter data truncated at {entry['name']}")
-        arrays[entry["name"]] = np.frombuffer(body, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        arrays[entry["name"]] = np.frombuffer(body, dtype="<f8", count=count, offset=offset).reshape(shape)
         partitions[entry["name"]] = entry["partition"]
         offset += nbytes
     if offset != len(body):
@@ -416,6 +419,8 @@ def _check_header(header, path) -> None:
             raise CheckpointError(f"{path}: header has no {key!r}")
         if not isinstance(header[key], types) or isinstance(header[key], bool):
             raise CheckpointError(f"{path}: header {key!r} has type {type(header[key]).__name__}")
+    if header["scenario"] is not None and header["scenario"] not in SCENARIOS:
+        raise CheckpointError(f"{path}: header names unknown scenario {header['scenario']!r}")
     names = set()
     for i, entry in enumerate(header["arrays"]):
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
@@ -432,12 +437,21 @@ def _check_header(header, path) -> None:
             raise CheckpointError(f"{path}: array {name!r} has malformed shape {shape!r}")
 
 
-def model_from_checkpoint(ckpt: Checkpoint) -> InversionModel:
+def model_from_checkpoint(ckpt: Checkpoint, path="checkpoint") -> InversionModel:
+    """Build the model the checkpoint describes and load its arrays; raise
+    CheckpointError unless every parameter and ``stats.*`` array the model
+    holds is present with the model's shape."""
     try:
         config = ModelConfig.from_dict(ckpt.model_config)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint model_config is unusable: {exc}") from None
+        raise CheckpointError(f"{path}: model_config is unusable: {exc}") from None
     model = InversionModel(config, seed=ckpt.seed or 0)
+    for name, own in model.state_arrays().items():
+        if name not in ckpt.arrays:
+            raise CheckpointError(f"{path}: no array {name!r}")
+        if ckpt.arrays[name].shape != own.shape:
+            raise CheckpointError(f"{path}: array {name!r} has shape {ckpt.arrays[name].shape}, "
+                                  f"the model needs {own.shape}")
     model.load_state_arrays(ckpt.arrays)
     return model
 

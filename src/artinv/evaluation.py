@@ -473,7 +473,7 @@ def evaluate_checkpoint(checkpoint_path, samples, out_dir, channels: str = "tong
     ckpt = load_checkpoint(checkpoint_path)
     if feature_hash is not None:
         dataio.require_compatible(ckpt, feature_hash, path=str(checkpoint_path))
-    model = dataio.model_from_checkpoint(ckpt)
+    model = dataio.model_from_checkpoint(ckpt, path=str(checkpoint_path))
     scenario = SCENARIOS[ckpt.scenario or "S3"]
     out_dir = Path(out_dir)
     fold_dir = out_dir / "folds" / "all"

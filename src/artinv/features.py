@@ -12,12 +12,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import struct
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
-import scipy.io.wavfile
 
 from .errors import DataError
 
@@ -86,21 +85,71 @@ def feature_config_hash(cfg: MfccConfig) -> str:
 
 # -- audio ----------------------------------------------------------------
 
+WAVE_FORMAT_PCM = 0x0001
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# Bytes 2..15 of every WAVE_FORMAT_EXTENSIBLE sub-format GUID whose first two
+# bytes hold a plain format tag (KSDATAFORMAT_SUBTYPE_PCM carries tag 1).
+_SUBFORMAT_GUID_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
 def load_wav(path) -> tuple[int, np.ndarray]:
-    """Read PCM 16-bit mono WAV; returns (rate, float64 samples in [-1, 1))."""
+    """Read PCM 16-bit mono WAV; returns (rate, float64 samples in [-1, 1)).
+
+    A little-endian RIFF/WAVE reader: the ``fmt `` chunk must carry format
+    tag 1 (PCM), or WAVE_FORMAT_EXTENSIBLE with the PCM sub-format, with 16
+    bits per sample, one channel and a rate of at least 8 kHz.  Other chunks
+    are skipped.  A data chunk that is cut short or holds an odd byte count
+    is an error, never a shorter signal."""
     try:
-        rate, samples = scipy.io.wavfile.read(path)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except FileNotFoundError:
         raise DataError(f"audio file not found: {path}") from None
-    except ValueError as exc:
-        raise DataError(f"unreadable WAV file {path}: {exc}") from None
-    if samples.dtype != np.int16:
-        raise DataError(f"{path}: expected 16-bit PCM, got dtype {samples.dtype}")
-    if samples.ndim != 1:
-        raise DataError(f"{path}: expected mono audio, got {samples.ndim} channels")
+    except OSError as exc:
+        raise DataError(f"unreadable WAV file {path}: {exc.strerror}") from None
+    if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise DataError(f"unreadable WAV file {path}: not a little-endian RIFF/WAVE file")
+
+    rate = None
+    pos = 12
+    while pos + 8 <= len(raw):
+        chunk_id = raw[pos:pos + 4]
+        (size,) = struct.unpack_from("<I", raw, pos + 4)
+        start = pos + 8
+        if start + size > len(raw):
+            raise DataError(f"{path}: {chunk_id.decode('latin-1')!r} chunk truncated "
+                            f"({len(raw) - start} of {size} bytes present)")
+        if chunk_id == b"fmt ":
+            rate = _parse_fmt_chunk(raw[start:start + size], path)
+        elif chunk_id == b"data":
+            if rate is None:
+                raise DataError(f"{path}: data chunk before the fmt chunk")
+            if size % 2:
+                raise DataError(f"{path}: data chunk holds an odd byte count {size} for 16-bit samples")
+            samples = np.frombuffer(raw, dtype="<i2", count=size // 2, offset=start)
+            return rate, samples.astype(np.float64) / 32768.0
+        pos = start + size + (size & 1)  # chunks are padded to even length
+    raise DataError(f"{path}: no {'fmt' if rate is None else 'data'} chunk")
+
+
+def _parse_fmt_chunk(chunk: bytes, path) -> int:
+    """Validate a ``fmt `` chunk for PCM 16-bit mono; returns the sample rate."""
+    if len(chunk) < 16:
+        raise DataError(f"{path}: fmt chunk of {len(chunk)} bytes is too short")
+    tag, channels, rate, _byte_rate, _block_align, bits = struct.unpack_from("<HHIIHH", chunk)
+    if tag == WAVE_FORMAT_EXTENSIBLE:
+        if len(chunk) < 40 or chunk[26:40] != _SUBFORMAT_GUID_TAIL:
+            raise DataError(f"{path}: WAVE_FORMAT_EXTENSIBLE without a recognised sub-format")
+        (tag,) = struct.unpack_from("<H", chunk, 24)
+    if tag != WAVE_FORMAT_PCM:
+        raise DataError(f"{path}: expected 16-bit PCM, got format tag {tag:#06x}")
+    if bits != 16:
+        raise DataError(f"{path}: expected 16-bit PCM, got {bits}-bit samples")
+    if channels != 1:
+        raise DataError(f"{path}: expected mono audio, got {channels} channels")
     if rate < 8000:
         raise DataError(f"{path}: sample rate {rate} Hz below the 8 kHz minimum (resampling is out of scope)")
-    return int(rate), samples.astype(np.float64) / 32768.0
+    return int(rate)
 
 
 # -- MFCC stages ----------------------------------------------------------
@@ -152,7 +201,15 @@ def log_mel_energies(frames: np.ndarray, fbank: np.ndarray, nfft: int, floor: fl
 
 
 def cepstra_from_log_mel(log_mel: np.ndarray, n_cepstra: int) -> np.ndarray:
-    return scipy.fft.dct(log_mel, type=2, axis=1, norm="ortho")[:, :n_cepstra]
+    """The first ``n_cepstra`` coefficients of the orthonormal DCT-II along
+    axis 1, as one product with the [n_mel, n_mel] cosine basis
+    sqrt(2/n) cos(pi k (2i + 1) / 2n), column 0 scaled by 1/sqrt(2)."""
+    n = log_mel.shape[1]
+    i = np.arange(n)[:, None]
+    k = np.arange(n)[None, :]
+    basis = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * i + 1) / (2 * n))
+    basis[:, 0] /= np.sqrt(2.0)
+    return log_mel @ basis[:, :n_cepstra]
 
 
 def delta_coefficients(coeffs: np.ndarray, window: int = 2) -> np.ndarray:

@@ -242,7 +242,7 @@ class InversionModel:
 
     def predict(self, mfcc: np.ndarray | None, phonemes: np.ndarray | None) -> dict[str, np.ndarray]:
         """Forward pass without tape recording; outputs de-normalized to mm,
-        keyed by stream name ('spn', 'phoneme')."""
+        keyed by stream name ('inversion', 'phoneme')."""
         with ad.no_grad():
             inversion_pred, phoneme_pred = self.forward(mfcc, phonemes)
         out = {}
@@ -260,15 +260,11 @@ class InversionModel:
         return state
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        own = self.parameters()
-        missing = set(own) - set(arrays)
-        if missing:
-            raise UsageError(f"checkpoint is missing parameters: {sorted(missing)[:3]}...")
-        for name, p in own.items():
-            incoming = arrays[name]
-            if incoming.shape != p.data.shape:
-                raise UsageError(f"parameter {name}: checkpoint shape {incoming.shape} != model {p.data.shape}")
-            p.data = incoming.copy()
+        """Copy in every array ``state_arrays`` names.  The caller has checked
+        that each is present with this model's shape, as
+        ``dataio.model_from_checkpoint`` does."""
+        for name, p in self.parameters().items():
+            p.data = arrays[name].copy()
         self.target_mean = arrays["stats.target_mean"].copy()
         self.target_std = arrays["stats.target_std"].copy()
 

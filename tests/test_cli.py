@@ -1,11 +1,16 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import artinv
 from artinv.cli import main
+from forging import seal, unseal
 
 TINY_SYNTH = ["--speakers", "2", "--utts", "2", "--dur_min", "3", "--dur_max", "5",
               "--phones_min", "1", "--phones_max", "2"]
@@ -127,6 +132,29 @@ class TestEval:
         assert "feature configuration" in capsys.readouterr().err
 
 
+    def test_forged_checkpoints_are_data_errors(self, tmp_path, capsys):
+        """Sound containers with an unknown scenario, or without the target
+        std, exit 2 with a message instead of a traceback."""
+        manifest = synth(tmp_path)
+        runs = tmp_path / "runs"
+        assert main(["train", "--manifest", str(manifest), "--scenario", "S3",
+                     "--out", str(runs), "--seed", "2", *FAST_TRAIN]) == 0
+        header, data = unseal((next(runs.glob("train-*")) / "checkpoint.ckpt").read_bytes())
+        unknown_scenario = {**header, "scenario": "S9"}
+        assert header["arrays"][-1]["name"] == "stats.target_std"
+        no_target_std = {**header, "arrays": header["arrays"][:-1]}
+        forged = {"unknown scenario 'S9'": seal(unknown_scenario, data),
+                  "no array 'stats.target_std'": seal(no_target_std, data[:-12 * 8])}
+        capsys.readouterr()
+        for i, (message, raw) in enumerate(forged.items()):
+            path = tmp_path / f"forged{i}.ckpt"
+            path.write_bytes(raw)
+            code = main(["eval", "--manifest", str(manifest), "--checkpoint", str(path),
+                         "--out", str(tmp_path / "eval")])
+            assert code == 2
+            assert message in capsys.readouterr().err
+
+
 class TestLoso:
     def test_structure_and_exit(self, tmp_path):
         manifest = synth(tmp_path, extra=["--speakers", "3"])
@@ -146,6 +174,14 @@ class TestLoso:
                      "--out", str(tmp_path / "loso"), "--seed", "0", *FAST_TRAIN])
         assert code == 2
         assert "degenerate" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    """Every command starts without importing scipy."""
+    code = "import sys, artinv.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(artinv.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_gradcheck_passes(capsys):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from artinv.dataio import (
 from artinv.errors import DataError
 from artinv.features import MfccConfig, feature_config_hash
 from artinv.model import InversionModel, ModelConfig
+from forging import seal, unseal
 
 SMALL = ModelConfig(
     conv_channels=2, kernel_sizes=(1, 3), attn_model_dim=8, attn_layers=1,
@@ -133,23 +135,6 @@ class TestManifest:
         feat_file.write_text("\n".join(rows) + "\n")
         with pytest.raises(DataError, match="s01_u002.*non-finite feature value in frame 1"):
             load_manifest(manifest)
-
-
-def reseal(raw: bytes, header) -> bytes:
-    """The checkpoint ``raw`` with its JSON header replaced by ``header``,
-    the length field and the SHA-256 trailer made to match."""
-    head_len = len(dataio.MAGIC) + struct.calcsize("<HI")
-    version, old_len = struct.unpack_from("<HI", raw, len(dataio.MAGIC))
-    header_bytes = json.dumps(header).encode()
-    body = (raw[:len(dataio.MAGIC)] + struct.pack("<HI", version, len(header_bytes)) + header_bytes
-            + raw[head_len + old_len:-32])
-    return body + hashlib.sha256(body).digest()
-
-
-def read_header(raw: bytes) -> dict:
-    head_len = len(dataio.MAGIC) + struct.calcsize("<HI")
-    _, length = struct.unpack_from("<HI", raw, len(dataio.MAGIC))
-    return json.loads(raw[head_len:head_len + length])
 
 
 JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 10**12), st.text(max_size=4),
@@ -277,22 +262,87 @@ class TestCheckpoint:
     def test_header_without_arrays_is_checkpoint_error(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, self.make_model(), "h")
-        raw = path.read_bytes()
-        header = read_header(raw)
+        header, data = unseal(path.read_bytes())
         del header["arrays"]
-        path.write_bytes(reseal(raw, header))
+        path.write_bytes(seal(header, data))
         with pytest.raises(CheckpointError, match="no 'arrays'"):
             load_checkpoint(path)
 
     def test_unknown_model_config_key_is_checkpoint_error(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, self.make_model(), "h")
-        raw = path.read_bytes()
-        header = read_header(raw)
+        header, data = unseal(path.read_bytes())
         header["model_config"]["dropout"] = 0.1
-        path.write_bytes(reseal(raw, header))
+        path.write_bytes(seal(header, data))
         with pytest.raises(CheckpointError, match="model_config.*dropout"):
             model_from_checkpoint(load_checkpoint(path))
+
+    def test_unknown_scenario_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self.make_model(), "h", scenario="S3")
+        header, data = unseal(path.read_bytes())
+        header["scenario"] = "S9"
+        path.write_bytes(seal(header, data))
+        with pytest.raises(CheckpointError, match="unknown scenario 'S9'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("forgery", ["missing stats", "missing parameter",
+                                         "misshapen stats", "misshapen parameter"])
+    def test_missing_or_misshapen_arrays_are_checkpoint_errors(self, tmp_path, forgery):
+        """A container that is sound but lacks, or misshapes, an array the
+        model holds loads, then fails to become a model with exit code 2."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self.make_model(), "h")
+        header, data = unseal(path.read_bytes())
+        entries = {e["name"]: e for e in header["arrays"]}
+        weight = next(e for e in header["arrays"] if len(e["shape"]) == 2 and e["shape"][0] != e["shape"][1])
+        if forgery == "missing stats":
+            assert header["arrays"].pop()["name"] == "stats.target_std"
+            data = data[:-12 * 8]
+            expected = "no array 'stats.target_std'"
+        elif forgery == "missing parameter":
+            expected = f"no array '{weight['name']}'"
+            weight["name"] += ".renamed"
+        elif forgery == "misshapen stats":
+            entries["stats.target_mean"]["shape"] = [3, 4]
+            expected = r"'stats.target_mean' has shape \(3, 4\), the model needs \(12,\)"
+        else:
+            weight["shape"] = weight["shape"][::-1]
+            expected = f"'{weight['name']}' has shape"
+        path.write_bytes(seal(header, data))
+        ckpt = load_checkpoint(path)
+        with pytest.raises(CheckpointError, match=expected) as info:
+            model_from_checkpoint(ckpt, path=str(path))
+        assert info.value.exit_code == 2
+        assert str(path) in str(info.value)
+
+    def test_loaded_arrays_are_read_only_and_bit_exact(self, tmp_path):
+        model = self.make_model(seed=7)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, "h")
+        ckpt = load_checkpoint(path)
+        state = model.state_arrays()
+        assert list(ckpt.arrays) == list(state)
+        for name, arr in state.items():
+            assert ckpt.arrays[name].tobytes() == arr.tobytes(), name
+        with pytest.raises(ValueError, match="read-only"):
+            ckpt.arrays["speech.conv.k1.weight"][...] = 0.0
+        clone = model_from_checkpoint(ckpt)
+        clone.target_std[0] = 5.0  # the model owns copies
+        assert ckpt.arrays["stats.target_std"][0] == model.target_std[0]
+
+    def test_full_size_load_holds_the_file_once(self, tmp_path):
+        path = tmp_path / "full.ckpt"
+        save_checkpoint(path, InversionModel(ModelConfig(), seed=0), "h")
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            ckpt = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(a.nbytes for a in ckpt.arrays.values()) > 0.99 * size
+        assert peak < 1.2 * size
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -302,8 +352,7 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         if not path.exists():
             save_checkpoint(path, self.make_model(), "h", scenario="S3", seed=1)
-        raw = path.read_bytes()
-        header = read_header(raw)
+        header, arrays = unseal(path.read_bytes())
         entries = header["arrays"]
         where = data.draw(st.sampled_from(["top", "entry"]))
         target = header if where == "top" else entries[data.draw(st.integers(0, len(entries) - 1))]
@@ -313,7 +362,7 @@ class TestCheckpoint:
         else:
             target[key] = data.draw(JSON_VALUES)
         mutated = tmp_path / "mutated.ckpt"
-        mutated.write_bytes(reseal(raw, header))
+        mutated.write_bytes(seal(header, arrays))
         try:
             load_checkpoint(mutated)
         except CheckpointError:

@@ -1,6 +1,8 @@
 """Feature front end: MFCC stages, phoneme encoding, EMA alignment."""
 
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -10,9 +12,18 @@ from artinv.errors import DataError
 from artinv.features import AlignmentEntry, EmaTrack, MfccConfig
 
 
+def dct2_oracle(values, n_out):
+    """The first ``n_out`` orthonormal DCT-II coefficients, one scalar
+    cosine at a time."""
+    m = len(values)
+    return np.array([math.sqrt((1.0 if q == 0 else 2.0) / m)
+                     * sum(values[j] * math.cos(math.pi * q * (2 * j + 1) / (2 * m)) for j in range(m))
+                     for q in range(n_out)])
+
+
 def dft_cepstra_oracle(signal, frame_index, cfg, rate):
-    """Independent single-frame pipeline: explicit DFT, own mel filters, own
-    DCT-II cosine matrix."""
+    """Independent single-frame pipeline: explicit DFT, own mel filters and
+    the scalar DCT-II oracle."""
     window = cfg.window_samples(rate)
     hop = cfg.hop_samples(rate)
     nfft = 1
@@ -50,15 +61,8 @@ def dft_cepstra_oracle(signal, frame_index, cfg, rate):
             energies[m] += magnitude[b] * (b - left) / (center - left)
         for b in range(center, right):
             energies[m] += magnitude[b] * (right - b) / (right - center)
-    log_mel = np.log(np.maximum(energies, cfg.log_floor))
 
-    m_count = cfg.mel_filters
-    cep = np.zeros(cfg.cepstra)
-    for q in range(cfg.cepstra):
-        scale = math.sqrt((1.0 if q == 0 else 2.0) / m_count)
-        cep[q] = scale * sum(log_mel[j] * math.cos(math.pi * q * (2 * j + 1) / (2 * m_count))
-                             for j in range(m_count))
-    return cep
+    return dct2_oracle(np.log(np.maximum(energies, cfg.log_floor)), cfg.cepstra)
 
 
 class TestMfcc:
@@ -129,6 +133,108 @@ class TestMfcc:
         out = feat.mean_variance_normalize(x)
         np.testing.assert_array_equal(out[:, 0], np.zeros(10))
         assert abs(out[:, 1].std() - 1.0) < 1e-12
+
+
+class TestCepstra:
+    @pytest.mark.parametrize("n_mel", [26, 40])
+    def test_dct_matches_scalar_oracle(self, n_mel):
+        rng = np.random.default_rng(n_mel)
+        log_mel = rng.normal(-8.0, 5.0, size=(6, n_mel))
+        got = feat.cepstra_from_log_mel(log_mel, 13)
+        want = np.stack([dct2_oracle(row, 13) for row in log_mel])
+        assert got.shape == (6, 13)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_mfcc_from_wav_matches_scipy_path(self, tmp_path, monkeypatch):
+        """The numpy WAV reader and DCT against scipy's, end to end."""
+        wavfile = pytest.importorskip("scipy.io.wavfile")
+        scipy_fft = pytest.importorskip("scipy.fft")
+        rate = 16000
+        rng = np.random.default_rng(3)
+        t = np.arange(rate // 2) / rate
+        audio = 0.4 * np.sin(2 * np.pi * 180.0 * t) + 0.05 * rng.normal(size=t.size)
+        path = tmp_path / "a.wav"
+        wavfile.write(path, rate, (audio * 32767 / np.max(np.abs(audio))).astype(np.int16))
+
+        rate, samples = feat.load_wav(path)
+        ours = feat.compute_mfcc(samples, rate)
+        scipy_rate, scipy_samples = wavfile.read(path)
+        monkeypatch.setattr(feat, "cepstra_from_log_mel",
+                            lambda log_mel, n: scipy_fft.dct(log_mel, type=2, axis=1, norm="ortho")[:, :n])
+        theirs = feat.compute_mfcc(scipy_samples.astype(np.float64) / 32768.0, scipy_rate)
+        np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12)
+
+
+PCM_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def wav_bytes(data: bytes, *, tag=1, channels=1, rate=16000, bits=16, extensible=False,
+              data_size=None, chunks_before_data=b"") -> bytes:
+    """A RIFF/WAVE file written field by field."""
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels, rate, rate * block, block, bits)
+    if extensible:
+        fmt += struct.pack("<HHI", 22, bits, 0x4) + struct.pack("<H", tag) + PCM_GUID_TAIL
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + chunks_before_data
+            + b"data" + struct.pack("<I", len(data) if data_size is None else data_size) + data)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+class TestLoadWav:
+    @pytest.mark.parametrize("content, reason", [
+        (wav_bytes(bytes(160), bits=8), "16-bit"),
+        (wav_bytes(bytes(480), bits=24), "16-bit"),
+        (wav_bytes(np.zeros(160, "<f4").tobytes(), tag=3, bits=32), "16-bit PCM, got format tag 0x0003"),
+        (wav_bytes(bytes(640), channels=2), "mono audio, got 2 channels"),
+        (wav_bytes(bytes(640), rate=4000), "8 kHz"),
+        (b"OggS" + bytes(60), "not a little-endian RIFF/WAVE file"),
+        (wav_bytes(bytes(161)), "odd byte count"),
+        (wav_bytes(bytes(100), data_size=320), "'data' chunk truncated"),
+        (wav_bytes(bytes(160))[:-60], "'data' chunk truncated"),
+        (b"RIFF" + struct.pack("<I", 4) + b"WAVE", "no fmt chunk"),
+    ], ids=["8-bit", "24-bit", "float32", "stereo", "4 kHz", "not RIFF", "odd data bytes",
+            "data size past the end", "file cut short", "no chunks"])
+    def test_rejected_with_the_file_named(self, tmp_path, content, reason):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=re.escape(reason)) as info:
+            feat.load_wav(path)
+        assert str(path) in str(info.value)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError, match=re.escape(f"audio file not found: {tmp_path / 'none.wav'}")):
+            feat.load_wav(tmp_path / "none.wav")
+
+    def test_extensible_pcm16_accepted(self, tmp_path):
+        samples = np.array([0, 1, -1, 32767, -32768, 1234], dtype="<i2")
+        path = tmp_path / "ext.wav"
+        path.write_bytes(wav_bytes(samples.tobytes(), rate=22050, extensible=True))
+        rate, audio = feat.load_wav(path)
+        assert rate == 22050
+        assert audio.dtype == np.float64
+        np.testing.assert_array_equal(audio, samples / 32768.0)
+
+    def test_extensible_non_pcm_rejected(self, tmp_path):
+        path = tmp_path / "ext_float.wav"
+        path.write_bytes(wav_bytes(np.zeros(8, "<f4").tobytes(), tag=3, bits=32, extensible=True))
+        with pytest.raises(DataError, match="format tag 0x0003"):
+            feat.load_wav(path)
+
+    def test_bitwise_equal_to_scipy(self, tmp_path):
+        wavfile = pytest.importorskip("scipy.io.wavfile")
+        rng = np.random.default_rng(5)
+        samples = rng.integers(-32768, 32768, size=4001).astype(np.int16)
+        written = tmp_path / "scipy.wav"
+        wavfile.write(written, 16000, samples)
+        # an odd-sized chunk and its pad byte ahead of the data
+        padded = tmp_path / "list.wav"
+        padded.write_bytes(wav_bytes(samples.astype("<i2").tobytes(), rate=8000,
+                                     chunks_before_data=b"LIST" + struct.pack("<I", 3) + b"abc\0"))
+        for path in (written, padded):
+            rate, audio = feat.load_wav(path)
+            scipy_rate, scipy_samples = wavfile.read(path)
+            assert rate == scipy_rate
+            assert audio.tobytes() == (scipy_samples.astype(np.float64) / 32768.0).tobytes()
 
 
 class TestPhonemeEncoding:
