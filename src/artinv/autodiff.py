@@ -144,17 +144,6 @@ def mul(a, b) -> Tensor:
     return _make(out, "mul", (a, b), vjp)
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = _apply_elementwise("div", np.divide, a, b)
-
-    def vjp(g):
-        return (_unbroadcast(g / b.data, a.data.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(out, "div", (a, b), vjp)
-
-
 def square(x) -> Tensor:
     x = _as_tensor(x)
 
@@ -162,16 +151,6 @@ def square(x) -> Tensor:
         return (g * 2.0 * x.data,)
 
     return _make(x.data * x.data, "square", (x,), vjp)
-
-
-def sqrt(x) -> Tensor:
-    x = _as_tensor(x)
-    y = np.sqrt(x.data)
-
-    def vjp(g):
-        return (g * 0.5 / y,)
-
-    return _make(y, "sqrt", (x,), vjp)
 
 
 def tanh(x) -> Tensor:
@@ -262,27 +241,41 @@ def tsum(x, axis=None, keepdims=False, lengths=None) -> Tensor:
     return _make(x.data.sum(axis=axis, keepdims=keepdims), "tsum", (x,), vjp)
 
 
-def tmean(x, axis=None, keepdims=False, lengths=None) -> Tensor:
-    """Mean over ``axis``; with ``lengths``, the per-segment mean over rows."""
-    x = _as_tensor(x)
-    if lengths is not None:
-        return _segment_reduce("tmean", x, lengths, scale=True)
-    count = x.data.size if axis is None else x.data.shape[axis]
+def tmean(x, lengths) -> Tensor:
+    """The per-segment mean over rows of the ``lengths`` segments of ``x``."""
+    return _segment_reduce("tmean", _as_tensor(x), lengths, scale=True)
+
+
+def layer_norm(x, gain, offset, epsilon: float) -> Tensor:
+    """Per-row normalization of a [T, D] input over its D features with a
+    [D] gain and offset (Ba et al. 2016): ``(x - mean) / sqrt(var + epsilon)
+    * gain + offset``.  One tape node; its adjoint chains the adjoints of the
+    formula's ops in order, so it matches one node per op bit for bit."""
+    x, gain, offset = _as_tensor(x), _as_tensor(gain), _as_tensor(offset)
+    if x.data.ndim != 2 or gain.data.shape != x.data.shape[1:] or offset.data.shape != gain.data.shape:
+        raise ShapeError(f"layer_norm: expects x [T, D] with gain and offset [D], got "
+                         f"{x.data.shape}, {gain.data.shape} and {offset.data.shape}")
+    dim = x.data.shape[1]
+    c = x.data - x.data.mean(axis=-1, keepdims=True)
+    s = np.sqrt((c * c).mean(axis=-1, keepdims=True) + epsilon)
+    n = c / s
 
     def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.data.shape).copy() / count,)
+        g_n = g * gain.data
+        g_var = ((-g_n * c) / (s * s)).sum(axis=-1, keepdims=True) * 0.5 / s
+        g_c = g_n / s + (g_var / dim) * 2.0 * c
+        g_x = g_c + (-g_c).sum(axis=-1, keepdims=True) / dim
+        return g_x, (g * n).sum(axis=0), g.sum(axis=0)
 
-    return _make(x.data.mean(axis=axis, keepdims=keepdims), "tmean", (x,), vjp)
+    return _make(n * gain.data + offset.data, "layer_norm", (x, gain, offset), vjp)
 
 
-def conv1d(x, w, b=None, padding="same", lengths=None) -> Tensor:
-    """1-D cross-correlation over the time axis.
+def conv1d(x, w, b=None, lengths=None) -> Tensor:
+    """Length-preserving 1-D cross-correlation over the time axis.
 
-    ``x`` is [T, C_in], ``w`` is [C_out, C_in, K], ``b`` is [C_out] or None.
-    ``padding`` is "same" (requires odd K, preserves T) or an integer number
-    of zero rows added at each end.  No kernel flip is applied: output
+    ``x`` is [T, C_in], ``w`` is [C_out, C_in, K] with K odd, ``b`` is
+    [C_out] or None.  The input gets (K - 1) / 2 zero rows at each end, and
+    no kernel flip is applied: output
     ``y[t, o] = b[o] + sum_{c,k} w[o, c, k] * x_padded[t + k, c]``.
     With ``lengths``, ``x`` packs several sequences along T and each one is
     padded on its own, so no window reads across a boundary.
@@ -296,17 +289,10 @@ def conv1d(x, w, b=None, padding="same", lengths=None) -> Tensor:
         raise ShapeError(f"conv1d: input has {c_in} channels but kernel expects {c_in_w}")
     if t_in < 1:
         raise ShapeError("conv1d: input has no frames")
-    if padding == "same":
-        if k % 2 == 0:
-            raise ShapeError(f"conv1d: 'same' padding requires an odd kernel size, got {k}")
-        pad = (k - 1) // 2
-    else:
-        pad = int(padding)
-        if pad < 0:
-            raise ShapeError(f"conv1d: negative padding {pad}")
+    if k % 2 == 0:
+        raise ShapeError(f"conv1d: kernel size must be odd, got {k}")
+    pad = (k - 1) // 2
     lens = _segments(lengths, t_in, "conv1d")
-    if lens.min() + 2 * pad - k + 1 < 1:
-        raise ShapeError(f"conv1d: kernel size {k} with padding {pad} exceeds input length {lens.min()}")
 
     parents = [x, w]
     if b is not None:
@@ -315,16 +301,14 @@ def conv1d(x, w, b=None, padding="same", lengths=None) -> Tensor:
             raise ShapeError(f"conv1d: bias shape {b.data.shape} does not match {c_out} output channels")
         parents.append(b)
 
-    # segment s occupies rows [start_s, start_s + T_s + 2 pad) of the padded
-    # input, and its outputs are the windows starting at the first
-    # T_s + 2 pad - k + 1 of those rows
-    starts = np.concatenate(([0], np.cumsum(lens + 2 * pad)[:-1]))
+    # segment s occupies T_s + 2 pad rows of the padded input, its frames
+    # after its first pad rows; output t's window starts pad rows before t
     seg = np.repeat(np.arange(lens.size), lens)
     rows_in = np.arange(t_in) + pad * (2 * seg + 1)
-    rows_out = np.concatenate([s + np.arange(n + 2 * pad - k + 1) for s, n in zip(starts, lens)])
+    rows_out = rows_in - pad
     xp = np.zeros((t_in + 2 * pad * lens.size, c_in))
     xp[rows_in] = x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)[rows_out]  # [T_out, C_in, K]
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)[rows_out]  # [T, C_in, K]
     y = np.tensordot(windows, w.data, axes=([1, 2], [1, 2]))
     if b is not None:
         y = y + b.data

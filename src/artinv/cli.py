@@ -181,23 +181,26 @@ def cmd_train(args) -> int:
     scenario = SCENARIOS[args.scenario]
     if scenario.needs_pretrained and not args.pretrained:
         raise UsageError("scenario S2 requires --pretrained <phoneme-stream checkpoint>")
+    if not 0.0 <= args.val_fraction < 1.0:
+        raise UsageError(f"--val_fraction must be in [0, 1), got {args.val_fraction}")
     hyper = _hyper(args)
     cfg = _mfcc_config(args)
     feature_hash = feature_config_hash(cfg)
     samples = dataio.load_manifest(args.manifest, cfg)
-    run_dir = _run_dir(args, args.out)
+    model = InversionModel(ModelConfig(), seed=args.seed)
 
     pretrained_arrays = None
     if scenario.needs_pretrained:
         ckpt = dataio.load_checkpoint(args.pretrained)
         dataio.require_compatible(ckpt, feature_hash, path=args.pretrained)
-        pretrained_arrays = {n: a for n, a in ckpt.arrays.items()
-                             if ckpt.partitions.get(n) == "phoneme_stream"}
+        phoneme_arrays = {n: p.data for n, p in model.partition_params("phoneme_stream").items()}
+        dataio.require_arrays(ckpt, phoneme_arrays, path=args.pretrained)
+        pretrained_arrays = {n: ckpt.arrays[n] for n in phoneme_arrays}
+    run_dir = _run_dir(args, args.out)
 
     train_ids, val_ids = evaluation.split_train_val(
         samples, seed=evaluation.derive_seed(args.seed, "val-split"), val_fraction=args.val_fraction)
     by_id = {s.utterance_id: s for s in samples}
-    model = InversionModel(ModelConfig(), seed=args.seed)
     apply_scenario(scenario, model, pretrained_arrays=pretrained_arrays)
     result = train_model(model, scenario, [by_id[i] for i in train_ids], [by_id[i] for i in val_ids],
                          hyper, seed=evaluation.derive_seed(args.seed, "train"))

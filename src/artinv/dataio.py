@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import features as feat
-from .errors import DataError
+from .errors import DataError, UsageError
 from .model import PARTITIONS, SCENARIOS, InversionModel, ModelConfig
 
 MANIFEST_COLUMNS = ("utterance_id", "speaker_id", "features", "alignment", "ema")
@@ -171,10 +171,16 @@ class SyntheticSpec:
     hop_s: float = 0.01
 
     def __post_init__(self):
-        if self.smoothing < 1:
-            raise ValueError("smoothing width must be >= 1")
-        if self.speakers < 1 or self.utterances_per_speaker < 1:
-            raise ValueError("speakers and utterances_per_speaker must be >= 1")
+        for name, count in (("smoothing width", self.smoothing), ("speakers", self.speakers),
+                            ("utterances per speaker", self.utterances_per_speaker)):
+            if count < 1:
+                raise UsageError(f"{name} must be >= 1, got {count}")
+        for name, (low, high) in (("duration", self.duration_range), ("phones", self.phones_range)):
+            if not 1 <= low <= high:
+                raise UsageError(f"{name} range must satisfy 1 <= min <= max, got ({low}, {high})")
+        for name, scale in (("speaker offset", self.speaker_offset_scale), ("noise", self.noise_scale)):
+            if not (math.isfinite(scale) and scale >= 0):
+                raise UsageError(f"{name} scale must be finite and non-negative, got {scale}")
 
 
 def _moving_average(track: np.ndarray, width: int) -> np.ndarray:
@@ -445,15 +451,21 @@ def model_from_checkpoint(ckpt: Checkpoint, path="checkpoint") -> InversionModel
         config = ModelConfig.from_dict(ckpt.model_config)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: model_config is unusable: {exc}") from None
-    model = InversionModel(config, seed=ckpt.seed or 0)
-    for name, own in model.state_arrays().items():
+    model = InversionModel(config, seed=None)
+    require_arrays(ckpt, model.state_arrays(), path)
+    model.load_state_arrays(ckpt.arrays)
+    return model
+
+
+def require_arrays(ckpt: Checkpoint, wanted: dict[str, np.ndarray], path="checkpoint") -> None:
+    """Raise CheckpointError unless the checkpoint holds every array of
+    ``wanted`` (name -> the model's array) with the model's shape."""
+    for name, own in wanted.items():
         if name not in ckpt.arrays:
             raise CheckpointError(f"{path}: no array {name!r}")
         if ckpt.arrays[name].shape != own.shape:
             raise CheckpointError(f"{path}: array {name!r} has shape {ckpt.arrays[name].shape}, "
                                   f"the model needs {own.shape}")
-    model.load_state_arrays(ckpt.arrays)
-    return model
 
 
 def require_compatible(ckpt: Checkpoint, feature_hash: str, path="checkpoint") -> None:

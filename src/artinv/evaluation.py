@@ -258,6 +258,20 @@ def _write_predictions(fold_dir: Path, stream: str, utterance_id: str, matrix: n
                      header=("frame",) + EMA_CHANNELS)
 
 
+def _predict_and_score(model: InversionModel, scenario, samples, fold_dir: Path, idx) -> dict:
+    """Predict each sample, write its target and scored-stream CSVs under
+    ``fold_dir``, and score each stream from those files; returns stream
+    name -> StreamScore."""
+    for sample in samples:
+        preds = model.predict(sample.mfcc if scenario.use_mfcc else None,
+                              sample.phonemes if scenario.use_phonemes else None)
+        _write_predictions(fold_dir, "target", sample.utterance_id, sample.ema)
+        for stream in scenario.scored_streams:
+            _write_predictions(fold_dir, stream, sample.utterance_id, preds[stream])
+    ids = tuple(s.utterance_id for s in samples)
+    return {stream: score_stream_dir(fold_dir, stream, ids, idx) for stream in scenario.scored_streams}
+
+
 def run_fold(plan: FoldPlan, samples, scenario_id: str, hyper: Hyper, seed: int,
              model_config: ModelConfig, fold_dir, feature_hash: str, channels: str) -> FoldScore:
     """Train one fold per its scenario, persist checkpoint/trace/predictions,
@@ -294,18 +308,9 @@ def run_fold(plan: FoldPlan, samples, scenario_id: str, hyper: Hyper, seed: int,
                     scenario=scenario_id, hyper=dataclasses.asdict(hyper), seed=seed)
     dataio.write_trace_csv(fold_dir / "trace.csv", result.trace)
 
-    for sample in test_samples:
-        preds = model.predict(sample.mfcc if scenario.use_mfcc else None,
-                              sample.phonemes if scenario.use_phonemes else None)
-        _write_predictions(fold_dir, "target", sample.utterance_id, sample.ema)
-        for stream in scenario.scored_streams:
-            _write_predictions(fold_dir, stream, sample.utterance_id, preds[stream])
-
     idx, _ = channel_indices(channels)
-    fold_score = FoldScore(index=plan.index, held_out_speaker=plan.held_out_speaker)
-    for stream in scenario.scored_streams:
-        fold_score.streams[stream] = score_stream_dir(fold_dir, stream, plan.test_ids, idx)
-    return fold_score
+    return FoldScore(index=plan.index, held_out_speaker=plan.held_out_speaker,
+                     streams=_predict_and_score(model, scenario, test_samples, fold_dir, idx))
 
 
 def _run_fold_job(args):
@@ -478,17 +483,9 @@ def evaluate_checkpoint(checkpoint_path, samples, out_dir, channels: str = "tong
     out_dir = Path(out_dir)
     fold_dir = out_dir / "folds" / "all"
     fold_dir.mkdir(parents=True, exist_ok=True)
-    for sample in samples:
-        preds = model.predict(sample.mfcc if scenario.use_mfcc else None,
-                              sample.phonemes if scenario.use_phonemes else None)
-        _write_predictions(fold_dir, "target", sample.utterance_id, sample.ema)
-        for stream in scenario.scored_streams:
-            _write_predictions(fold_dir, stream, sample.utterance_id, preds[stream])
     idx, names = channel_indices(channels)
-    ids = tuple(s.utterance_id for s in samples)
-    fold_score = FoldScore(index=0, held_out_speaker="all")
-    for stream in scenario.scored_streams:
-        fold_score.streams[stream] = score_stream_dir(fold_dir, stream, ids, idx)
+    fold_score = FoldScore(index=0, held_out_speaker="all",
+                           streams=_predict_and_score(model, scenario, samples, fold_dir, idx))
     report = EvalReport(scenario=scenario.id, seed=ckpt.seed or 0, channel_names=names,
                         folds=[fold_score], grand=grand_scores([fold_score], scenario.scored_streams))
     write_report(report, out_dir)

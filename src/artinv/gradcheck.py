@@ -34,13 +34,13 @@ def primitive_suite(seed: int = 0) -> dict[str, float]:
         "add": lambda x: ad.add(x, Tensor(np.ones_like(x.data))),
         "sub": lambda x: ad.sub(x, Tensor(np.ones_like(x.data))),
         "mul": lambda x: ad.mul(x, Tensor(np.full_like(x.data, 1.5))),
-        "div": lambda x: ad.div(x, Tensor(np.full_like(x.data, 2.0))),
         "matmul": lambda x: ad.matmul(x, Tensor(np.linspace(-1, 1, 12).reshape(4, 3))),
         "conv1d": lambda x: ad.conv1d(x, Tensor(np.linspace(-1, 1, 24).reshape(2, 4, 3)),
                                       Tensor(np.array([0.1, -0.2]))),
         "tanh": ad.tanh,
         "square": ad.square,
-        "mean": lambda x: ad.tmean(x, axis=-1, keepdims=True),
+        "layer_norm": lambda x: ad.layer_norm(x, Tensor(np.linspace(0.5, 1.5, 4)), Tensor(np.linspace(-1, 1, 4)),
+                                              1e-5),
         "sum": lambda x: ad.tsum(x, axis=0),
         "concat": lambda x: ad.concat([x, ad.square(x)], axis=-1),
         "attention": lambda x: ad.attention(x, ad.square(x), ad.tanh(x), heads=2),
@@ -48,6 +48,7 @@ def primitive_suite(seed: int = 0) -> dict[str, float]:
         # two sequences of 1 and 2 frames packed along the frame axis
         "conv1d_packed": lambda x: ad.conv1d(x, Tensor(np.linspace(-1, 1, 24).reshape(2, 4, 3)),
                                              Tensor(np.array([0.1, -0.2])), lengths=(1, 2)),
+        "tmean_packed": lambda x: ad.tmean(x, lengths=(1, 2)),
         "attention_packed": lambda x: ad.attention(x, ad.square(x), ad.tanh(x), heads=2, lengths=(1, 2)),
         "lstm_sequence_packed": lambda x: ad.lstm_sequence(x, *lstm_weights, hidden=2, lengths=(2, 1),
                                                            reverse=True),

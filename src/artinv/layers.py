@@ -18,7 +18,10 @@ from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 
 
-def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
+def uniform_init(rng: np.random.Generator | None, shape, fan_in: int) -> Tensor:
+    """U(-1/sqrt(fan_in), 1/sqrt(fan_in)) draws, or zeros without ``rng``."""
+    if rng is None:
+        return Tensor(np.zeros(shape), requires_grad=True)
     limit = 1.0 / math.sqrt(fan_in)
     return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
 
@@ -62,7 +65,7 @@ class Conv1DLayer:
         yield "bias", self.bias
 
     def forward(self, x: Tensor, lengths=None) -> Tensor:
-        return ad.conv1d(x, self.weight, self.bias, padding="same", lengths=lengths)
+        return ad.conv1d(x, self.weight, self.bias, lengths)
 
 
 class ConvBank:
@@ -102,13 +105,7 @@ class LayerNorm:
         yield "offset", self.offset
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.data.shape[-1] != self.dim:
-            raise ShapeError(f"layer norm: expected feature dim {self.dim}, got {x.data.shape[-1]}")
-        mu = ad.tmean(x, axis=-1, keepdims=True)
-        centered = ad.sub(x, mu)
-        var = ad.tmean(ad.square(centered), axis=-1, keepdims=True)
-        normed = ad.div(centered, ad.sqrt(ad.add(var, self.epsilon)))
-        return ad.add(ad.mul(normed, self.gain), self.offset)
+        return ad.layer_norm(x, self.gain, self.offset, self.epsilon)
 
 
 class MultiHeadAttention:

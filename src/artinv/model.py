@@ -171,12 +171,13 @@ class InversionModel:
 
     Training normalizes articulator targets per fold; ``target_mean`` and
     ``target_std`` keep the statistics so predictions come back in mm.
+    With ``seed`` None the parameters start as zeros, drawing no random
+    numbers, for a model whose arrays are loaded next.
     """
 
-    def __init__(self, config: ModelConfig | None = None, seed: int = 0):
+    def __init__(self, config: ModelConfig | None = None, seed: int | None = 0):
         self.config = config or ModelConfig()
-        self.seed = seed
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+        rng = None if seed is None else np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
         self.speech = SpeechStream(self.config, rng)
         self.fusion = SpeechFusion(self.config, rng)
         self.phoneme = PhonemeStream(self.config, rng) if self.config.variant == VARIANT_TWO_STREAM else None

@@ -38,8 +38,11 @@ class Hyper:
     weight_phoneme: float = 1.0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise UsageError(f"batch size must be at least 1, got {self.batch_size}")
+        for name, count in (("epochs", self.epochs), ("batch size", self.batch_size)):
+            if count < 1:
+                raise UsageError(f"{name} must be at least 1, got {count}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise UsageError(f"learning rate must be finite and positive, got {self.learning_rate}")
         for name, weight in (("inversion", self.weight_inversion), ("phoneme", self.weight_phoneme)):
             if not (np.isfinite(weight) and weight >= 0):
                 raise UsageError(f"{name} loss weight must be finite and non-negative, got {weight}")

@@ -95,6 +95,20 @@ def attention_oracle(q, k, v, heads):
     return out
 
 
+def layer_norm_oracle(x, gain, offset, epsilon):
+    """Each row normalized by its own mean and variance over the features,
+    one scalar at a time with math.sqrt, then scaled and shifted."""
+    out = np.zeros(x.shape)
+    for t in range(x.shape[0]):
+        row = [float(v) for v in x[t]]
+        mean = sum(row) / len(row)
+        var = sum((v - mean) ** 2 for v in row) / len(row)
+        std = math.sqrt(var + epsilon)
+        for d, v in enumerate(row):
+            out[t, d] = (v - mean) / std * gain[d] + offset[d]
+    return out
+
+
 def rmse_oracle(pred, target):
     out = []
     for c in range(pred.shape[1]):

@@ -8,7 +8,7 @@ import pytest
 from artinv import autodiff as ad
 from artinv.autodiff import Tensor
 from artinv.errors import NumericalError
-from oracles import attention_oracle, correlate_oracle
+from oracles import attention_oracle, correlate_oracle, layer_norm_oracle
 
 
 def central_diff(f, x, step=1e-6):
@@ -60,7 +60,7 @@ class TestForward:
         assert expected == [-2.0, -2.0, -2.0, 3.0]
         x = Tensor(np.array(signal).reshape(4, 1))
         w = Tensor(np.array(kernel).reshape(1, 1, 3))
-        y = ad.conv1d(x, w, Tensor(np.zeros(1)), padding="same")
+        y = ad.conv1d(x, w, Tensor(np.zeros(1)))
         np.testing.assert_allclose(y.data[:, 0], expected, rtol=0, atol=0)
 
     def test_cross_correlation_random_vs_oracle(self):
@@ -86,11 +86,22 @@ class TestForward:
             got = ad.attention(Tensor(q), Tensor(k), Tensor(v), heads).data
             np.testing.assert_allclose(got, attention_oracle(q, k, v, heads), atol=1e-12, rtol=0)
 
+    def test_layer_norm_vs_oracle(self):
+        rng = np.random.default_rng(12)
+        shapes = [(int(rng.integers(1, 6)), int(rng.integers(1, 8))) for _ in range(10)] + [(1, 5), (1, 1), (4, 512)]
+        for frames, dim in shapes:
+            x = rng.normal(scale=3.0, size=(frames, dim))
+            gain, offset = rng.normal(size=(2, dim))
+            got = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(offset), 1e-5).data
+            np.testing.assert_allclose(got, layer_norm_oracle(x, gain, offset, 1e-5), atol=1e-12, rtol=0)
+
     def test_shape_mismatch_names_op_and_shapes(self):
         with pytest.raises(ad.ShapeError, match=r"matmul.*\(2, 3\).*\(2, 3\)"):
             ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
         with pytest.raises(ad.ShapeError, match="add"):
             ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+        with pytest.raises(ad.ShapeError, match=r"layer_norm.*\(2, 3\).*\(4,\)"):
+            ad.layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones(4)), Tensor(np.zeros(4)), 1e-5)
 
     def test_determinism_bitwise(self):
         def run():
@@ -182,9 +193,20 @@ class TestGradCheck:
 
     def test_non_finite_reports_coordinate(self):
         x = Tensor([-1.0], requires_grad=True)
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(NumericalError, match="coordinate 0"):
-                ad.check_gradients(lambda: ad.tsum(ad.sqrt(x)), [x], step=1e-6)
+        with pytest.raises(NumericalError, match="coordinate 0"):
+            ad.check_gradients(lambda: ad.tsum(ad.mul(x, np.nan)), [x], step=1e-6)
+
+    def test_layer_norm_gradients_of_every_operand(self):
+        rng = np.random.default_rng(9)
+        x, gain, offset = (Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((4, 5), (5,), (5,)))
+        coeffs = Tensor(rng.normal(size=(4, 5)))
+
+        def build():
+            return ad.tsum(ad.mul(ad.layer_norm(x, gain, offset, 1e-5), coeffs))
+
+        for _ in range(3):
+            assert ad.check_gradients(build, [x, gain, offset], step=1e-6) < 1e-6
+            x.data[:] = rng.normal(size=(4, 5))
 
 
 class TestPacked:
@@ -272,14 +294,11 @@ PRIMITIVES = {
     "add": lambda x: ad.add(x, Tensor(np.linspace(-1, 1, x.data.size).reshape(x.data.shape))),
     "sub": lambda x: ad.sub(Tensor(np.ones_like(x.data)), x),
     "mul": lambda x: ad.mul(x, Tensor(np.linspace(0.5, 2, x.data.size).reshape(x.data.shape))),
-    "div": lambda x: ad.div(x, Tensor(np.linspace(1.0, 2.0, x.data.size).reshape(x.data.shape))),
-    "div_rhs": lambda x: ad.div(Tensor(np.ones_like(x.data)), ad.add(ad.square(x), 1.0)),
     "matmul": lambda x: ad.matmul(x, Tensor(np.linspace(-1, 1, 12).reshape(4, 3))),
     "conv1d": lambda x: ad.conv1d(x, Tensor(np.linspace(-1, 1, 6).reshape(1, 2, 3)), Tensor(np.array([0.1]))),
     "tanh": ad.tanh,
     "square": ad.square,
-    "sqrt_pos": lambda x: ad.sqrt(ad.add(ad.square(x), 0.5)),
-    "mean": lambda x: ad.tmean(x, axis=-1, keepdims=True),
+    "layer_norm": lambda x: ad.layer_norm(x, Tensor(np.linspace(0.5, 2, 4)), Tensor(np.linspace(-1, 1, 4)), 1e-5),
     "sum_axis": lambda x: ad.tsum(x, axis=0),
     "concat": lambda x: ad.concat([x, ad.square(x)], axis=-1),
     # a [1, 4] row broadcast over frames, as a bias is: gradients sum back over rows

@@ -10,6 +10,9 @@ import pytest
 
 import artinv
 from artinv.cli import main
+from artinv.dataio import save_checkpoint
+from artinv.features import MfccConfig, feature_config_hash
+from artinv.model import InversionModel, ModelConfig
 from forging import seal, unseal
 
 TINY_SYNTH = ["--speakers", "2", "--utts", "2", "--dur_min", "3", "--dur_max", "5",
@@ -49,6 +52,18 @@ class TestSynth:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--out", str(tmp_path / "x"), *TINY_SYNTH])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--speakers", "0"], "speakers"), (["--smoothing", "0"], "smoothing"),
+        (["--dur_min", "0", "--dur_max", "0"], "duration range"), (["--dur_min", "5", "--dur_max", "2"], "duration range"),
+        (["--phones_min", "3", "--phones_max", "1"], "phones range"), (["--noise_scale", "-1"], "noise scale"),
+    ], ids=["speakers_zero", "smoothing_zero", "duration_zero", "duration_reversed", "phones_reversed",
+            "noise_negative"])
+    def test_bad_numeric_flag_is_usage_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x"
+        assert main(["synth", "--out", str(out), "--seed", "0", *TINY_SYNTH, *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nonempty_dir_needs_force(self, tmp_path):
         out = tmp_path / "c"
@@ -91,7 +106,10 @@ class TestTrain:
     @pytest.mark.parametrize("flag, value, message", [
         ("--w_phoneme", "-1", "phoneme loss weight"), ("--w_phoneme", "nan", "phoneme loss weight"),
         ("--w_inversion", "inf", "inversion loss weight"), ("--batch_size", "0", "batch size"),
-    ], ids=["w_phoneme_negative", "w_phoneme_nan", "w_inversion_inf", "batch_size_zero"])
+        ("--epochs", "0", "epochs"), ("--learning_rate", "-1", "learning rate"), ("--learning_rate", "nan", "learning rate"),
+        ("--val_fraction", "nan", "--val_fraction"), ("--val_fraction", "1", "--val_fraction"),
+    ], ids=["w_phoneme_negative", "w_phoneme_nan", "w_inversion_inf", "batch_size_zero",
+            "epochs_zero", "learning_rate_negative", "learning_rate_nan", "val_fraction_nan", "val_fraction_one"])
     def test_bad_hyperparameter_is_usage_error(self, tmp_path, capsys, flag, value, message):
         manifest = synth(tmp_path)
         out = tmp_path / "runs"
@@ -99,6 +117,24 @@ class TestTrain:
                      "--out", str(out), "--seed", "1", *FAST_TRAIN, flag, value])
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()  # rejected before any run directory is made
+
+    @pytest.mark.parametrize("config, message", [
+        ({"conv_channels": 2, "kernel_sizes": (1, 3), "attn_model_dim": 8, "attn_layers": 1, "attn_heads": 2,
+          "attn_head_dim": 4, "speech_fc_units": 6, "blstm_hidden": 3}, "has shape (39, 12), the model needs (39, 600)"),
+        ({"variant": "speech_only", "attn_model_dim": 8, "attn_layers": 1, "attn_heads": 2, "attn_head_dim": 4},
+         "no array 'phoneme.blstm1.fw.wx'"),
+    ], ids=["misshapen", "no_phoneme_stream"])
+    def test_bad_pretrained_checkpoint_is_data_error(self, tmp_path, capsys, config, message):
+        manifest = synth(tmp_path)
+        pretrained = tmp_path / "pretrained.ckpt"
+        save_checkpoint(pretrained, InversionModel(ModelConfig(**config)), feature_config_hash(MfccConfig()))
+        out = tmp_path / "runs"
+        code = main(["train", "--manifest", str(manifest), "--scenario", "S2", "--pretrained", str(pretrained),
+                     "--out", str(out), "--seed", "1", *FAST_TRAIN])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(pretrained) in err and message in err
         assert not out.exists()  # rejected before any run directory is made
 
     def test_missing_manifest_is_data_error(self, tmp_path, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from artinv import dataio
+from artinv import dataio, layers
 from artinv.dataio import (
     CheckpointCompatError, CheckpointError, CheckpointIntegrityError,
     CheckpointTruncatedError, CheckpointVersionError, SyntheticSpec,
@@ -19,6 +19,7 @@ from artinv.dataio import (
 )
 from artinv.errors import DataError
 from artinv.features import MfccConfig, feature_config_hash
+from artinv.layers import uniform_init
 from artinv.model import InversionModel, ModelConfig
 from forging import seal, unseal
 
@@ -163,6 +164,20 @@ class TestCheckpoint:
             assert np.array_equal(p.data, clone.parameters()[name].data), name
         assert np.array_equal(model.target_mean, clone.target_mean)
         assert np.array_equal(model.target_std, clone.target_std)
+
+    def test_model_from_checkpoint_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self.make_model(seed=8), "h", seed=8)
+        ckpt = load_checkpoint(path)
+        rngs = []
+
+        def counting_init(rng, shape, fan_in):
+            rngs.append(rng)
+            return uniform_init(rng, shape, fan_in)
+
+        monkeypatch.setattr(layers, "uniform_init", counting_init)
+        model_from_checkpoint(ckpt)
+        assert rngs and all(rng is None for rng in rngs)
 
     def test_save_is_deterministic(self, tmp_path):
         model = self.make_model(seed=5)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from artinv import autodiff as ad
+from artinv import gradcheck
 from artinv import model as mdl
 from artinv.autodiff import ShapeError, Tensor
 from artinv.dataio import UtteranceSample
@@ -125,6 +126,28 @@ def test_tape_holds_exactly_the_model_primitives():
                 reached.add(node._op)
                 stack.extend(node._parents)
     assert reached == primitives
+
+
+def test_gradcheck_primitive_suite_covers_the_tape(monkeypatch):
+    """The ops that ``artinv gradcheck``'s primitive cases record are
+    exactly the tape's primitive set, so no primitive goes unchecked."""
+    primitives = {name for name, fn in vars(ad).items()
+                  if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_")}
+    primitives -= {"backward", "no_grad", "check_gradients"}
+    recorded = set()
+
+    def record_ops(build_loss, tensors, **kwargs):
+        stack = [build_loss()]
+        while stack:
+            node = stack.pop()
+            if node._op is not None:
+                recorded.add(node._op)
+                stack.extend(node._parents)
+        return 0.0
+
+    monkeypatch.setattr(ad, "check_gradients", record_ops)
+    gradcheck.primitive_suite()
+    assert recorded == primitives
 
 
 class TestJointLoss:
