@@ -5,7 +5,9 @@ closure on the result tensor; ``backward`` linearizes the recorded graph
 into reverse topological order and replays the adjoints, accumulating
 gradients additively wherever a tensor is used more than once.  It
 consumes the graph as it goes: each node's adjoint, parent links and
-gradient are dropped once used, so only the leaves keep gradients.
+gradient are dropped once used, so only the leaves keep gradients.  It
+can hand each leaf to a callback as soon as the leaf's gradient is final
+(the optimizer's per-parameter update).
 
 The sequence primitives (``conv1d``, ``attention``, ``lstm_sequence``)
 take optional segment ``lengths``: several sequences packed along the
@@ -526,18 +528,29 @@ def _topo_order(loss: Tensor):
     return order
 
 
-def backward(loss: Tensor):
+def backward(loss: Tensor, on_leaf=None):
     """Populate ``grad`` on every requires-grad leaf reachable from ``loss``.
 
     The graph is consumed: once a node's adjoint has run, its ``grad``,
     adjoint closure and parent links are dropped, so the arrays the tape
     saved are released as the pass runs and a graph can be replayed once.
+
+    ``on_leaf(leaf)``, when given, is called once per requires-grad leaf,
+    right after the last tape edge into it has added its contribution: the
+    leaf's gradient is then final, no adjoint still to run reads the leaf,
+    and the callback may update ``leaf.data`` in place or drop ``leaf.grad``.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
     order = _topo_order(loss)
+    edges_left = {}  # id(leaf) -> tape edges into it not yet replayed
+    if on_leaf is not None:
+        for node in order:
+            for parent in node._parents:
+                if parent.requires_grad and parent._vjp is None:
+                    edges_left[id(parent)] = edges_left.get(id(parent), 0) + 1
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._vjp is None:
@@ -547,14 +560,16 @@ def backward(loss: Tensor):
         node.grad = node._vjp = None
         node._parents = ()
         for parent, g in zip(parents, grads):
-            if not parent.requires_grad or g is None:
+            if not parent.requires_grad:
                 continue
             # accumulation rebinds rather than mutating, so aliased arrays
             # coming out of a vjp are safe to hold
-            if parent.grad is None:
-                parent.grad = g
-            else:
-                parent.grad = parent.grad + g
+            if g is not None:
+                parent.grad = g if parent.grad is None else parent.grad + g
+            if id(parent) in edges_left:
+                edges_left[id(parent)] -= 1
+                if not edges_left[id(parent)]:
+                    on_leaf(parent)
 
 
 def check_gradients(build_loss, tensors, step: float = 1e-6, max_coords=None, rng=None,

@@ -349,26 +349,42 @@ def save_checkpoint(path, model: InversionModel, feature_hash: str,
         raise
 
 
-def load_checkpoint(path) -> Checkpoint:
-    """Read and verify a container written by ``save_checkpoint``.  The
-    arrays are read-only views into the file's bytes, which stay alive as
-    long as any of them does; copy an array before changing it."""
+def _read_aligned(path, head_len: int) -> memoryview:
+    """The file's bytes, in a buffer placed so that the array data after the
+    header starts 8-byte aligned: numpy copies an unaligned operand before
+    every BLAS call, which would slow inference on the views."""
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            head = fh.read(head_len)
+            header_len = struct.unpack_from("<I", head, head_len - 4)[0] if len(head) == head_len else 0
+            size = os.fstat(fh.fileno()).st_size
+            buf = np.empty(size + 7, dtype=np.uint8)
+            shift = -(buf.ctypes.data + head_len + header_len) % 8
+            raw = memoryview(buf)[shift:shift + size]
+            fh.seek(0)
+            if fh.readinto(raw) != size:
+                raise CheckpointTruncatedError(f"{path}: file changed while it was read")
     except FileNotFoundError:
         raise CheckpointError(f"checkpoint not found: {path}") from None
+    return raw
 
+
+def load_checkpoint(path) -> Checkpoint:
+    """Read and verify a container written by ``save_checkpoint``.  The
+    arrays are read-only, aligned views into the file's bytes, which stay
+    alive as long as any of them does; copy an array before changing it."""
     head_len = len(MAGIC) + struct.calcsize("<HI")
+    raw = _read_aligned(path, head_len)
     if len(raw) < head_len + 32:
         raise CheckpointTruncatedError(f"{path}: file too short to be a checkpoint")
-    if raw[:len(MAGIC)] != MAGIC:
+    if bytes(raw[:len(MAGIC)]) != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint container")
     version, header_len = struct.unpack_from("<HI", raw, len(MAGIC))
     if version != FORMAT_VERSION:
         raise CheckpointVersionError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
 
-    digest = raw[-32:]
-    body = memoryview(raw)[:-32]
+    digest = bytes(raw[-32:])
+    body = raw[:-32]
     if hashlib.sha256(body).digest() != digest:
         raise CheckpointIntegrityError(f"{path}: checksum mismatch (corrupted or tampered)")
 
@@ -387,7 +403,9 @@ def load_checkpoint(path) -> Checkpoint:
         nbytes = count * 8
         if offset + nbytes > len(body):
             raise CheckpointTruncatedError(f"{path}: parameter data truncated at {entry['name']}")
-        arrays[entry["name"]] = np.frombuffer(body, dtype="<f8", count=count, offset=offset).reshape(shape)
+        array = np.frombuffer(body, dtype="<f8", count=count, offset=offset).reshape(shape)
+        array.flags.writeable = False
+        arrays[entry["name"]] = array
         partitions[entry["name"]] = entry["partition"]
         offset += nbytes
     if offset != len(body):
@@ -444,7 +462,8 @@ def _check_header(header, path) -> None:
 
 
 def model_from_checkpoint(ckpt: Checkpoint, path="checkpoint") -> InversionModel:
-    """Build the model the checkpoint describes and load its arrays; raise
+    """Build the model the checkpoint describes, for inference: its
+    parameters are the checkpoint's read-only arrays, not copies.  Raise
     CheckpointError unless every parameter and ``stats.*`` array the model
     holds is present with the model's shape."""
     try:

@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, UsageError
 
 # Stress-free ARPAbet inventory (39 symbols), alphabetical and stable.
 ARPABET_39 = (
@@ -44,7 +45,9 @@ assert len(set(ARPABET_39)) == 39
 @dataclass(frozen=True)
 class MfccConfig:
     """MFCC pipeline settings.  ``sample_rate`` of None accepts whatever the
-    audio file carries (rates below 8 kHz are always rejected)."""
+    audio file carries (rates below 8 kHz are always rejected).  A window or
+    hop that is not finite and positive, or fewer than one mel filter, is a
+    ``UsageError``."""
 
     sample_rate: int | None = None
     window_ms: float = 25.0
@@ -54,6 +57,13 @@ class MfccConfig:
     pre_emphasis: float = 0.97
     log_floor: float = 1e-10
     delta_window: int = 2
+
+    def __post_init__(self):
+        for name, ms in (("window", self.window_ms), ("hop", self.hop_ms)):
+            if not (math.isfinite(ms) and ms > 0):
+                raise UsageError(f"{name} length must be finite and positive, got {ms} ms")
+        if self.mel_filters < 1:
+            raise UsageError(f"mel filter count must be at least 1, got {self.mel_filters}")
 
     @property
     def feature_dim(self) -> int:

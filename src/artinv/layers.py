@@ -219,14 +219,23 @@ ADAM_BLOCK = 32768
 class Adam:
     """Adam with bias correction.
 
-    ``step`` allocates nothing: it walks each flattened parameter in blocks
-    of ``ADAM_BLOCK`` elements and updates the moments and the parameter in
-    place, through two scratch blocks made here.  Per element it performs
-    the textbook operations in the textbook order, so its results are
-    bitwise those of ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g);
-    p -= (lr * (m/c1)) / (sqrt(v/c2) + eps)``.  Gradients are only read (a
-    vjp may hand one array to two parameters); a non-contiguous gradient is
-    copied once to flatten it.
+    Each parameter's update allocates nothing: it walks the flattened
+    parameter in blocks of ``ADAM_BLOCK`` elements and updates the moments
+    and the parameter in place, through two scratch blocks made here.  Per
+    element it performs the textbook operations in the textbook order, so
+    its results are bitwise those of ``m = b1*m + (1-b1)*g; v = b2*v +
+    (1-b2)*(g*g); p -= (lr * (m/c1)) / (sqrt(v/c2) + eps)``.  Gradients are
+    only read (a vjp may hand one array to two parameters); a non-contiguous
+    gradient is copied once to flatten it.
+
+    A step can run inside backward.  ``update`` is backward's ``on_leaf``
+    hook: it updates the parameter as soon as its gradient is final and
+    drops the gradient, so gradients are released one parameter at a time
+    instead of all being held until the pass ends.  ``step`` finishes the
+    step by updating, from its ``grad``, every parameter ``update`` did not
+    reach (on its own, it updates them all and leaves the gradients in
+    place).  Either way each parameter sees the same operations on the
+    same gradient, so the result is bitwise the same.
     """
 
     def __init__(self, params: dict[str, Tensor], learning_rate: float = 1e-4,
@@ -241,42 +250,61 @@ class Adam:
         self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         block = min(ADAM_BLOCK, max((p.data.size for p in self.params.values()), default=0))
         self._scratch = (np.empty(block), np.empty(block))
+        self._names = {id(p): name for name, p in self.params.items()}
+        self._updated = set()  # names updated in the step in progress
+
+    def update(self, p: Tensor):
+        """Apply the step in progress to ``p``, one of this optimizer's
+        parameters, now, from its final gradient, and drop the gradient."""
+        name = self._names[id(p)]
+        if name in self._updated:
+            raise ValueError(f"adam: parameter {name!r} is already updated in this step")
+        self._update(name, self.step_count + 1)
+        p.grad = None
+        self._updated.add(name)
 
     def step(self):
-        self.step_count += 1
-        t = self.step_count
+        t = self.step_count + 1
+        for name in self.params:
+            if name not in self._updated:
+                self._update(name, t)
+        self._updated.clear()
+        self.step_count = t
+
+    def _update(self, name: str, t: int):
+        """Step ``t`` of parameter ``name`` from its gradient, block by block."""
+        p = self.params[name]
+        if p.grad is None:
+            raise ValueError(f"adam: trainable parameter {name!r} has no gradient")
+        if p.grad.shape != p.data.shape:
+            raise ShapeError(f"adam: gradient of {name!r} has shape {p.grad.shape}, "
+                             f"parameter {p.data.shape}")
+        assert p.data.flags.c_contiguous, f"adam: parameter {name!r} is not C-contiguous"
         b1, b2, lr, eps = self.beta1, self.beta2, self.learning_rate, self.epsilon
         c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
         scratch1, scratch2 = self._scratch
-        for name, p in self.params.items():
-            if p.grad is None:
-                raise ValueError(f"adam: trainable parameter {name!r} has no gradient")
-            if p.grad.shape != p.data.shape:
-                raise ShapeError(f"adam: gradient of {name!r} has shape {p.grad.shape}, "
-                                 f"parameter {p.data.shape}")
-            assert p.data.flags.c_contiguous, f"adam: parameter {name!r} is not C-contiguous"
-            g_all = p.grad.reshape(-1)
-            p_all = p.data.reshape(-1)
-            m_all = self._m[name].reshape(-1)
-            v_all = self._v[name].reshape(-1)
-            for lo in range(0, p_all.size, ADAM_BLOCK):
-                hi = lo + ADAM_BLOCK
-                g, m, v, x = g_all[lo:hi], m_all[lo:hi], v_all[lo:hi], p_all[lo:hi]
-                s1, s2 = scratch1[:x.size], scratch2[:x.size]
-                np.multiply(m, b1, out=m)             # m = b1*m + (1-b1)*g
-                np.multiply(g, 1.0 - b1, out=s1)
-                np.add(m, s1, out=m)
-                np.multiply(v, b2, out=v)             # v = b2*v + (1-b2)*(g*g)
-                np.multiply(g, g, out=s1)
-                np.multiply(s1, 1.0 - b2, out=s1)
-                np.add(v, s1, out=v)
-                np.divide(v, c2, out=s1)              # denom = sqrt(v/c2) + eps
-                np.sqrt(s1, out=s1)
-                np.add(s1, eps, out=s1)
-                np.divide(m, c1, out=s2)              # p -= (lr * (m/c1)) / denom
-                np.multiply(s2, lr, out=s2)
-                np.divide(s2, s1, out=s2)
-                np.subtract(x, s2, out=x)
+        g_all = p.grad.reshape(-1)
+        p_all = p.data.reshape(-1)
+        m_all = self._m[name].reshape(-1)
+        v_all = self._v[name].reshape(-1)
+        for lo in range(0, p_all.size, ADAM_BLOCK):
+            hi = lo + ADAM_BLOCK
+            g, m, v, x = g_all[lo:hi], m_all[lo:hi], v_all[lo:hi], p_all[lo:hi]
+            s1, s2 = scratch1[:x.size], scratch2[:x.size]
+            np.multiply(m, b1, out=m)             # m = b1*m + (1-b1)*g
+            np.multiply(g, 1.0 - b1, out=s1)
+            np.add(m, s1, out=m)
+            np.multiply(v, b2, out=v)             # v = b2*v + (1-b2)*(g*g)
+            np.multiply(g, g, out=s1)
+            np.multiply(s1, 1.0 - b2, out=s1)
+            np.add(v, s1, out=v)
+            np.divide(v, c2, out=s1)              # denom = sqrt(v/c2) + eps
+            np.sqrt(s1, out=s1)
+            np.add(s1, eps, out=s1)
+            np.divide(m, c1, out=s2)              # p -= (lr * (m/c1)) / denom
+            np.multiply(s2, lr, out=s2)
+            np.divide(s2, s1, out=s2)
+            np.subtract(x, s2, out=x)
 
     def zero_grad(self):
         for p in self.params.values():

@@ -261,11 +261,14 @@ class InversionModel:
         return state
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy in every array ``state_arrays`` names.  The caller has checked
-        that each is present with this model's shape, as
-        ``dataio.model_from_checkpoint`` does."""
+        """Take every array ``state_arrays`` names.  The parameters keep the
+        given arrays, not copies (a loaded checkpoint's are read-only views
+        of its file, which makes the model inference-only); the two target
+        statistics are copied.  The caller has checked that each array is
+        present with this model's shape, as ``dataio.model_from_checkpoint``
+        does."""
         for name, p in self.parameters().items():
-            p.data = arrays[name].copy()
+            p.data = arrays[name]
         self.target_mean = arrays["stats.target_mean"].copy()
         self.target_std = arrays["stats.target_std"].copy()
 

@@ -6,6 +6,13 @@ at most ``PACK_FRAMES`` frames.  Each group runs one forward over the
 packed ``[sum(T), .]`` arrays, the sequence layers keeping the utterances
 apart by their lengths, and one backward; an utterance longer than the
 limit runs alone.  The limit bounds the tape a group holds at once.
+
+The Adam step runs inside the last group's backward: ``backward`` hands
+each parameter to ``Adam.update`` once its gradient is final, which
+updates it and drops the gradient, so a batch never holds all gradients
+at once.  The batch still opens with ``zero_grad`` and closes with
+``step``, which updates any parameter backward did not reach.  The
+updates are bitwise those of a plain backward followed by ``step``.
 """
 
 from __future__ import annotations
@@ -106,12 +113,14 @@ def _finite_values(losses: Tensor, group, stage: str) -> list:
     return values
 
 
-def _train_group(model: InversionModel, scenario: Scenario, group, weights, inv_count: float) -> list:
+def _train_group(model: InversionModel, scenario: Scenario, group, weights, inv_count: float,
+                 on_leaf=None) -> list:
     """Forward and backward of one packed group; gradients accumulate on the
-    parameters.  The group's tape is gone when this returns."""
+    parameters, and ``on_leaf`` receives each one once its gradient is final.
+    The group's tape is gone when this returns."""
     losses = _group_losses(model, scenario, group, weights)
     values = _finite_values(losses, group, "training")
-    ad.backward(ad.mul(ad.tsum(losses), inv_count))
+    ad.backward(ad.mul(ad.tsum(losses), inv_count), on_leaf)
     return values
 
 
@@ -123,7 +132,8 @@ def train_model(model: InversionModel, scenario: Scenario, train_samples, val_sa
     Targets are z-scored with statistics from the training samples.  Each
     batch is packed into groups of at most ``PACK_FRAMES`` frames; each group
     runs one forward and one backward of its summed per-utterance losses
-    weighted by 1/batch size, and the batch takes one Adam step.
+    weighted by 1/batch size, and the batch takes one Adam step, applied
+    per parameter during the last group's backward.
     """
     usable = [s for s in train_samples if s.ema.shape[0] > 0]
     skipped = [s.utterance_id for s in train_samples if s.ema.shape[0] == 0]
@@ -146,8 +156,12 @@ def train_model(model: InversionModel, scenario: Scenario, train_samples, val_sa
         for start in range(0, len(order), hyper.batch_size):
             batch = [usable[i] for i in order[start:start + hyper.batch_size]]
             optimizer.zero_grad()
-            for group in pack_groups(batch):
-                epoch_losses += _train_group(model, scenario, group, hyper.loss_weights, 1.0 / len(batch))
+            groups = pack_groups(batch)
+            for i, group in enumerate(groups, start=1):
+                # the last group's backward finishes each gradient, and the
+                # optimizer updates that parameter there and then
+                on_leaf = optimizer.update if i == len(groups) else None
+                epoch_losses += _train_group(model, scenario, group, hyper.loss_weights, 1.0 / len(batch), on_leaf)
             optimizer.step()
         train_loss = float(np.mean(epoch_losses))
         val_loss = evaluate_loss(model, scenario, val_samples, hyper.loss_weights) if val_samples else float("nan")

@@ -165,6 +165,68 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, [4.0])
 
 
+def leaf_graph(seed):
+    """Leaves x, w, b (trainable; each used twice) and frozen f, and a
+    function building a scalar loss over them."""
+    rng = np.random.default_rng(seed)
+    leaves = {"x": Tensor(rng.normal(size=(4, 3)), requires_grad=True),
+              "w": Tensor(rng.normal(size=(3, 3)), requires_grad=True),
+              "b": Tensor(rng.normal(size=3), requires_grad=True),
+              "f": Tensor(rng.normal(size=(3, 3)))}
+
+    def build():
+        x, w, b, f = (leaves[n] for n in "xwbf")
+        h = ad.matmul(ad.tanh(ad.add(ad.matmul(x, w), b)), f)
+        return ad.tsum(ad.add(ad.mul(h, ad.matmul(x, w)), b))
+
+    return leaves, build
+
+
+class TestOnLeaf:
+    def reference_grads(self, seed):
+        leaves, build = leaf_graph(seed)
+        ad.backward(build())
+        return {name: t.grad for name, t in leaves.items() if t.requires_grad}
+
+    def test_fires_once_per_leaf_with_the_final_gradient(self):
+        reference = self.reference_grads(60)
+        leaves, build = leaf_graph(60)
+        names = {id(t): name for name, t in leaves.items()}
+        seen = []
+        ad.backward(build(), on_leaf=lambda leaf: seen.append((names[id(leaf)], leaf.grad.copy())))
+        assert sorted(name for name, _ in seen) == ["b", "w", "x"]  # the frozen f never
+        for name, grad in seen:
+            # every one of the leaf's contributions was in when it fired
+            np.testing.assert_array_equal(grad, reference[name], err_msg=name)
+            np.testing.assert_array_equal(leaves[name].grad, reference[name], err_msg=name)
+
+    def test_fires_after_the_last_contribution(self):
+        x = Tensor([2.0, -1.0], requires_grad=True)
+        seen = []
+        ad.backward(ad.tsum(ad.add(ad.mul(x, x), ad.mul(x, 3.0))), on_leaf=lambda leaf: seen.append(leaf.grad.copy()))
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], [7.0, 1.0])  # 2x + 3, summed over three uses
+
+    def test_callback_may_consume_the_leaf(self):
+        """Overwriting a leaf's data and dropping its gradient inside the
+        callback changes no other gradient: no adjoint still to run reads it."""
+        reference = self.reference_grads(61)
+        leaves, build = leaf_graph(61)
+        names = {id(t): name for name, t in leaves.items()}
+        taken = {}
+
+        def consume(leaf):
+            taken[names[id(leaf)]] = leaf.grad
+            leaf.grad = None
+            leaf.data[...] = np.nan
+
+        ad.backward(build(), on_leaf=consume)
+        assert sorted(taken) == ["b", "w", "x"]
+        for name, grad in taken.items():
+            np.testing.assert_array_equal(grad, reference[name], err_msg=name)
+            assert leaves[name].grad is None
+
+
 class TestGradCheck:
     def test_quadratic_is_nearly_exact(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)

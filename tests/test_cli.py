@@ -190,6 +190,23 @@ class TestEval:
             assert code == 2
             assert message in capsys.readouterr().err
 
+    def test_report_bytes_do_not_depend_on_copying_the_checkpoint(self, tmp_path, monkeypatch):
+        """The loaded model computes on the checkpoint's read-only views; with
+        copies of them the report is byte for byte the same."""
+        manifest = synth(tmp_path)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, InversionModel(ModelConfig(), seed=3), feature_config_hash(MfccConfig()))
+        load_views = InversionModel.load_state_arrays
+        reports = []
+        for copies in (False, True):
+            if copies:
+                monkeypatch.setattr(InversionModel, "load_state_arrays",
+                                    lambda self, arrays: load_views(self, {n: a.copy() for n, a in arrays.items()}))
+            out = tmp_path / f"eval-{copies}"
+            assert main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt), "--out", str(out)]) == 0
+            reports.append((next(out.glob("eval-*")) / "report.csv").read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestLoso:
     def test_structure_and_exit(self, tmp_path):
@@ -245,3 +262,40 @@ def test_run_dir_named_by_config_hash(tmp_path):
     main(["train", "--manifest", str(manifest), "--scenario", "S1", "--out", str(out),
           "--seed", "2", *FAST_TRAIN])
     assert len(list(out.glob("train-*"))) == 2  # different configs, different dirs
+
+
+@pytest.mark.parametrize("command", ["train", "loso", "eval"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--hop_ms", "0", "hop length"), ("--hop_ms", "-10", "hop length"), ("--window_ms", "nan", "window length"),
+    ("--window_ms", "inf", "window length"), ("--mel_filters", "0", "mel filter count"),
+], ids=["hop_zero", "hop_negative", "window_nan", "window_inf", "mel_filters_zero"])
+def test_bad_feature_flag_is_usage_error(tmp_path, capsys, command, flag, value, message):
+    manifest = synth(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, InversionModel(ModelConfig(attn_model_dim=8, attn_layers=1, attn_heads=2, attn_head_dim=4)),
+                    feature_config_hash(MfccConfig()))
+    extra = {"train": ["--scenario", "S3", "--seed", "1", *FAST_TRAIN],
+             "loso": ["--scenario", "S1", "--seed", "1", *FAST_TRAIN],
+             "eval": ["--checkpoint", str(ckpt)]}[command]
+    out = tmp_path / "runs"
+    capsys.readouterr()
+    assert main([command, "--manifest", str(manifest), "--out", str(out), *extra, flag, value]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()  # rejected before any run directory is made
+
+
+def test_unset_blas_thread_count_gives_the_pinned_bytes(tmp_path):
+    """OpenBLAS's own default thread count (one per core) would change GEMM
+    rounding; importing artinv pins it to 1 unless the user set it."""
+    manifest = synth(tmp_path, extra=["--utts", "3", "--dur_min", "5", "--dur_max", "20",
+                                      "--phones_min", "2", "--phones_max", "5"])
+    base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = str(Path(artinv.__file__).resolve().parents[1])
+    digests = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"runs-{len(threads)}"
+        subprocess.run([sys.executable, "-m", "artinv", "train", "--manifest", str(manifest), "--scenario", "S3",
+                        "--seed", "0", "--epochs", "1", "--out", str(out)],
+                       env={**base, **threads}, capture_output=True, check=True)
+        digests.append(hashlib.sha256((next(out.glob("train-*")) / "checkpoint.ckpt").read_bytes()).hexdigest())
+    assert digests[0] == digests[1]

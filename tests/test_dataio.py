@@ -346,6 +346,20 @@ class TestCheckpoint:
         clone.target_std[0] = 5.0  # the model owns copies
         assert ckpt.arrays["stats.target_std"][0] == model.target_std[0]
 
+    def test_model_from_checkpoint_keeps_aligned_read_only_views(self, tmp_path):
+        """Inference computes on the checkpoint's arrays in place: no 74.5 MB
+        copy at full size, and aligned so numpy hands them to BLAS as they are."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self.make_model(seed=9), "h")
+        ckpt = load_checkpoint(path)
+        assert all(a.flags.aligned for a in ckpt.arrays.values())
+        model = model_from_checkpoint(ckpt)
+        for name, p in model.parameters().items():
+            assert np.shares_memory(p.data, ckpt.arrays[name]), name
+            assert not p.data.flags.writeable, name
+        for name in ("target_mean", "target_std"):
+            assert not np.shares_memory(getattr(model, name), ckpt.arrays[f"stats.{name}"]), name
+
     def test_full_size_load_holds_the_file_once(self, tmp_path):
         path = tmp_path / "full.ckpt"
         save_checkpoint(path, InversionModel(ModelConfig(), seed=0), "h")

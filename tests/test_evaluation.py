@@ -1,5 +1,7 @@
 """Metrics, fold planning, the LOSO protocol, and report reproducibility."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,22 @@ def test_parallel_folds_match_sequential(tmp_path):
     for fs, fp in zip(seq.folds, par.folds):
         assert fs.streams["phoneme"].rmse_mean == fp.streams["phoneme"].rmse_mean
     assert (tmp_path / "seq" / "report.csv").read_bytes() == (tmp_path / "par" / "report.csv").read_bytes()
+
+
+def test_no_training_thread_is_alive_when_the_fold_pool_forks(tmp_path, monkeypatch):
+    """Folds first train in this process (jobs=1); when a jobs=2 pool then
+    forks its workers, only the threads that ran before training exist."""
+    samples = corpus(tmp_path, speakers=2, utts=2, seed=20)
+    hyper = Hyper(epochs=1, batch_size=2)
+    before = set(threading.enumerate())
+    run_loso(samples, "S1", hyper, seed=21, out_dir=tmp_path / "seq", model_config=TINY)
+    at_fork = []
+
+    class RecordingPool(ev.ProcessPoolExecutor):
+        def map(self, *args, **kwargs):
+            at_fork.append(set(threading.enumerate()))
+            return super().map(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingPool)
+    run_loso(samples, "S1", hyper, seed=21, out_dir=tmp_path / "par", model_config=TINY, jobs=2)
+    assert at_fork == [before]

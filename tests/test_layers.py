@@ -329,6 +329,42 @@ class TestAdam:
         assert peak < 1 << 20, f"step allocated {peak} bytes at peak"  # one array is 8 MB
         assert opt._m["p"] is m and opt._v["p"] is v
 
+    def test_update_then_step_is_bitwise_step(self):
+        """Parameters updated through ``update``, the rest by ``step``, end
+        bitwise where ``step`` alone puts them."""
+        shapes = {"a": (30, 40), "b": (layers.ADAM_BLOCK + 5,), "c": (4,)}
+        rng = np.random.default_rng(13)
+        start = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        sides = [{name: Tensor(a.copy(), requires_grad=True) for name, a in start.items()} for _ in range(2)]
+        plain, hooked = (layers.Adam(params, learning_rate=1e-2) for params in sides)
+        for _ in range(4):
+            grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+            for params in sides:
+                for name, p in params.items():
+                    p.grad = grads[name]
+            plain.step()
+            hooked.update(sides[1]["a"])
+            hooked.update(sides[1]["b"])
+            assert sides[1]["a"].grad is None and sides[1]["b"].grad is None
+            hooked.step()
+            assert sides[1]["c"].grad is grads["c"]
+            for name in shapes:
+                np.testing.assert_array_equal(sides[1][name].data, sides[0][name].data, err_msg=name)
+                np.testing.assert_array_equal(hooked._m[name], plain._m[name], err_msg=name)
+                np.testing.assert_array_equal(hooked._v[name], plain._v[name], err_msg=name)
+        assert hooked.step_count == plain.step_count == 4
+
+    def test_update_refuses_a_second_update_in_one_step(self):
+        p = Tensor(np.ones(3), requires_grad=True)
+        opt = layers.Adam({"p": p})
+        p.grad = np.ones(3)
+        opt.update(p)
+        p.grad = np.ones(3)
+        with pytest.raises(ValueError, match="already updated"):
+            opt.update(p)
+        opt.step()
+        opt.update(p)  # the next step may update it again
+
 
 def _layer_cases():
     rng = np.random.default_rng(20)

@@ -1,13 +1,18 @@
 """Model assembly, joint loss, scenario semantics, and the training loop."""
 
+import functools
 import inspect
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from artinv import autodiff as ad
 from artinv import gradcheck
+from artinv import layers
 from artinv import model as mdl
+from artinv import training
 from artinv.autodiff import ShapeError, Tensor
 from artinv.dataio import UtteranceSample
 from artinv.errors import NumericalError, UsageError
@@ -348,3 +353,91 @@ class TestPacking:
         frames = [200, 300, 13, PACK_FRAMES + 1, 5, PACK_FRAMES]
         groups = pack_groups([sample(i, n) for i, n in enumerate(frames)])
         assert [[s.utterance_id for s in g] for g in groups] == [["u0", "u1"], ["u2"], ["u3"], ["u4"], ["u5"]]
+
+
+class RecordingAdam(layers.Adam):
+    """Adam that keeps a list of its instances and counts its batch calls."""
+
+    made = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = {"zero_grad": 0, "step": 0}
+        RecordingAdam.made.append(self)
+
+    def zero_grad(self):
+        self.calls["zero_grad"] += 1
+        super().zero_grad()
+
+    def step(self):
+        self.calls["step"] += 1
+        super().step()
+
+
+def trained(monkeypatch, scenario, pack_limit=None, plain=False, epochs=2):
+    """Train a fresh small model under ``scenario``; return copies of its
+    parameters and its optimizer.  ``plain`` runs backward without the
+    per-parameter hook, so each batch's ``step`` does every update."""
+    with monkeypatch.context() as patch:
+        RecordingAdam.made = []
+        patch.setattr(training, "Adam", RecordingAdam)
+        if pack_limit is not None:
+            patch.setattr(training, "pack_groups", functools.partial(pack_groups, limit=pack_limit))
+        if plain:
+            backward = ad.backward
+            patch.setattr(ad, "backward", lambda loss, on_leaf=None: backward(loss))
+        model = InversionModel(SMALL, seed=50)
+        pretrained = None
+        if scenario.needs_pretrained:
+            pre = InversionModel(SMALL, seed=51)
+            pretrained = {n: p.data.copy() for n, p in pre.partition_params("phoneme_stream").items()}
+        apply_scenario(scenario, model, pretrained_arrays=pretrained)
+        samples = make_samples(7, seed=52)
+        train_model(model, scenario, samples, samples[:2], Hyper(epochs=epochs, learning_rate=1e-2, batch_size=3),
+                    seed=53)
+    (optimizer,) = RecordingAdam.made
+    return {n: p.data.copy() for n, p in model.parameters().items()}, optimizer
+
+
+class TestOptimizerInBackward:
+    @pytest.mark.parametrize("scenario, pack_limit", [(S3, 12), (S3, None), (SCENARIOS["S2"], None)],
+                             ids=["S3_several_groups", "S3_one_group", "S2"])
+    def test_equals_plain_backward_then_step(self, monkeypatch, scenario, pack_limit):
+        # make_samples draws 6-9 frames, so with a 12-frame limit every batch
+        # of 3 spans 2-3 groups and only the last group's backward updates
+        hooked, opt_hooked = trained(monkeypatch, scenario, pack_limit=pack_limit)
+        plain, opt_plain = trained(monkeypatch, scenario, pack_limit=pack_limit, plain=True)
+        assert hooked.keys() == plain.keys()
+        for name in hooked:
+            assert np.array_equal(hooked[name], plain[name]), name
+        assert opt_hooked._m.keys() == opt_plain._m.keys()
+        for name in opt_plain._m:
+            assert np.array_equal(opt_hooked._m[name], opt_plain._m[name]), name
+            assert np.array_equal(opt_hooked._v[name], opt_plain._v[name]), name
+
+    def test_zero_grad_and_step_once_per_batch(self, monkeypatch):
+        _, optimizer = trained(monkeypatch, S3, pack_limit=12, epochs=3)
+        batches = 3 * math.ceil(7 / 3)
+        assert optimizer.calls == {"zero_grad": batches, "step": batches}
+        assert optimizer.step_count == batches
+
+    def test_full_size_batch_holds_fewer_gradients(self, monkeypatch):
+        """One full-size batch in one packed group: updating each parameter
+        as backward finishes it lowers the peak of traced allocations (the
+        74.5 MB of gradients are never all held)."""
+        samples = make_samples(5, frames=40, seed=54)
+        backward = ad.backward
+        peaks = {}
+        for plain in (True, False):
+            model = InversionModel(ModelConfig(), seed=55)
+            apply_scenario(S3, model)
+            with monkeypatch.context() as patch:
+                if plain:
+                    patch.setattr(ad, "backward", lambda loss, on_leaf=None: backward(loss))
+                tracemalloc.start()
+                try:
+                    train_model(model, S3, samples, [], Hyper(epochs=1, batch_size=5), seed=56)
+                    peaks[plain] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peaks[False] < peaks[True] - 25 * 2**20, peaks
