@@ -94,91 +94,79 @@ def _make(data, op: str, parents, vjp) -> Tensor:
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
-    """Sum ``grad`` over the axes numpy broadcasting introduced."""
-    if grad.shape == tuple(shape):
-        return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
-def _apply_elementwise(op: str, fn, a: Tensor, b: Tensor) -> np.ndarray:
-    try:
-        return fn(a.data, b.data)
-    except ValueError:
-        raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
-
-
 # -- elementwise primitives ---------------------------------------------
 
 def add(a, b) -> Tensor:
+    """Elementwise sum of two tensors of one shape."""
     a, b = _as_tensor(a), _as_tensor(b)
-    out = _apply_elementwise("add", np.add, a, b)
-
-    def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return _make(out, "add", (a, b), vjp)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = _apply_elementwise("sub", np.subtract, a, b)
-
-    def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _make(out, "sub", (a, b), vjp)
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
+    return _make(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
 def mul(a, b) -> Tensor:
+    """Elementwise product of ``a`` and ``b``: a tensor of ``a``'s shape, or a
+    constant scalar (a loss weight or scale), which takes no gradient."""
     a, b = _as_tensor(a), _as_tensor(b)
-    out = _apply_elementwise("mul", np.multiply, a, b)
+    scalar = b.data.ndim == 0 and not b.requires_grad
+    if a.data.shape != b.data.shape and not scalar:
+        raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} differ and the second is no constant scalar")
 
     def vjp(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return g * b.data, None if scalar else g * a.data
 
-    return _make(out, "mul", (a, b), vjp)
-
-
-def square(x) -> Tensor:
-    x = _as_tensor(x)
-
-    def vjp(g):
-        return (g * 2.0 * x.data,)
-
-    return _make(x.data * x.data, "square", (x,), vjp)
+    return _make(a.data * b.data, "mul", (a, b), vjp)
 
 
-def tanh(x) -> Tensor:
-    x = _as_tensor(x)
-    y = np.tanh(x.data)
+# -- dense layers and the loss ---------------------------------------------
 
-    def vjp(g):
-        return (g * (1.0 - y * y),)
-
-    return _make(y, "tanh", (x,), vjp)
-
-
-# -- linear algebra and structure ----------------------------------------
-
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: expects 2-D operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.data.shape} vs {b.data.shape}")
+def linear(x, w, b=None, activation=None) -> Tensor:
+    """Per-frame affine map of a [T, in] input: ``x @ w``, then ``+ b`` for a
+    [out] bias, then ``tanh`` when ``activation`` is "tanh".  One tape node
+    (the fusion of ``torch.nn.functional.linear`` and its activation); its
+    adjoint chains the adjoints of the three ops in order, so it matches one
+    node per op bit for bit."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"linear: expects x [T, in] and w [in, out], got {x.data.shape} and {w.data.shape}")
+    if activation not in (None, "tanh"):
+        raise ValueError(f"linear: unknown activation {activation!r}")
+    y = x.data @ w.data
+    if b is not None:
+        b = _as_tensor(b)
+        if b.data.shape != w.data.shape[1:]:
+            raise ShapeError(f"linear: bias shape {b.data.shape} does not match {w.data.shape[1]} outputs")
+        y += b.data
+    if activation == "tanh":
+        np.tanh(y, out=y)
 
     def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        if activation == "tanh":
+            g = g * (1.0 - y * y)
+        g_b = () if b is None else (g.sum(axis=0),)
+        return (g @ w.data.T, x.data.T @ g) + g_b
 
-    return _make(a.data @ b.data, "matmul", (a, b), vjp)
+    return _make(y, "linear", (x, w) if b is None else (x, w, b), vjp)
 
+
+def squared_error(pred, target) -> Tensor:
+    """Per-frame squared error of two [T, C] tensors summed over the C
+    channels, as [T, 1].  One tape node; its adjoint chains the adjoints of
+    the difference, the square and the channel sum in order, so it matches
+    one node per op bit for bit."""
+    pred, target = _as_tensor(pred), _as_tensor(target)
+    if pred.data.ndim != 2 or pred.data.shape != target.data.shape:
+        raise ShapeError(f"squared_error: prediction shape {pred.data.shape} != target shape {target.data.shape}")
+    d = pred.data - target.data
+
+    def vjp(g):
+        g_d = (g * 2.0) * d
+        return g_d, -g_d
+
+    return _make((d * d).sum(axis=1, keepdims=True), "squared_error", (pred, target), vjp)
+
+
+# -- structure and reductions ----------------------------------------------
 
 def concat(tensors, axis: int = -1) -> Tensor:
     """Concatenate along ``axis`` (feature axis by default)."""
@@ -212,40 +200,30 @@ def _segments(lengths, frames: int, op: str) -> np.ndarray:
     return lens
 
 
-def _segment_reduce(op: str, x: Tensor, lengths, scale: bool) -> Tensor:
-    """Sum (or mean, when ``scale``) of each segment's rows: [sum(lengths), ...]
-    -> [segments, ...].  Each segment reduces only its own rows, so a
-    non-finite value stays in its segment's result."""
-    lens = _segments(lengths, x.data.shape[0], op)
-    starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    counts = lens.reshape((-1,) + (1,) * (x.data.ndim - 1))
-    out = np.add.reduceat(x.data, starts, axis=0)
-    if scale:
-        out = out / counts
-
-    def vjp(g):
-        return (np.repeat(g / counts if scale else g, lens, axis=0),)
-
-    return _make(out, op, (x,), vjp)
-
-
-def tsum(x, axis=None, keepdims=False, lengths=None) -> Tensor:
-    """Sum over ``axis``; with ``lengths``, the per-segment sum over rows."""
+def tsum(x) -> Tensor:
+    """Sum of all elements, as a scalar."""
     x = _as_tensor(x)
-    if lengths is not None:
-        return _segment_reduce("tsum", x, lengths, scale=False)
 
     def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.data.shape).copy(),)
 
-    return _make(x.data.sum(axis=axis, keepdims=keepdims), "tsum", (x,), vjp)
+    return _make(x.data.sum(), "tsum", (x,), vjp)
 
 
-def tmean(x, lengths) -> Tensor:
-    """The per-segment mean over rows of the ``lengths`` segments of ``x``."""
-    return _segment_reduce("tmean", _as_tensor(x), lengths, scale=True)
+def tmean(x, lengths=None) -> Tensor:
+    """The per-segment mean over rows of the ``lengths`` segments of ``x``
+    (one segment by default): [sum(lengths), ...] -> [segments, ...].  Each
+    segment reduces only its own rows, so a non-finite value stays in its
+    segment's result."""
+    x = _as_tensor(x)
+    lens = _segments(lengths, x.data.shape[0], "tmean")
+    starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
+    counts = lens.reshape((-1,) + (1,) * (x.data.ndim - 1))
+
+    def vjp(g):
+        return (np.repeat(g / counts, lens, axis=0),)
+
+    return _make(np.add.reduceat(x.data, starts, axis=0) / counts, "tmean", (x,), vjp)
 
 
 def layer_norm(x, gain, offset, epsilon: float) -> Tensor:
@@ -382,6 +360,7 @@ def lstm_sequence(x, wx, wh, b, hidden: int, lengths=None, reverse: bool = False
     gates += b.data
     cells = np.empty((frames, hidden))
     states = np.empty((frames, hidden))
+    cand_scratch = np.empty((batch[0], hidden))
     wh_data = wh.data
     for t, n in enumerate(batch):
         lo, hi = start[t], start[t] + n
@@ -389,10 +368,12 @@ def lstm_sequence(x, wx, wh, b, hidden: int, lengths=None, reverse: bool = False
         if t:
             before = start[t - 1]
             z += states[before:before + n] @ wh_data
-        _sigmoid_(z[:, :2 * hidden])  # input and forget gates
-        _sigmoid_(z[:, 3 * hidden:])  # output gate
+        # one sigmoid pass over the whole gate row; the candidate's tanh is
+        # taken first and put back over the sigmoid written into its slot
         cand = z[:, 2 * hidden:3 * hidden]
-        np.tanh(cand, out=cand)
+        tanh_cand = np.tanh(cand, out=cand_scratch[:n])
+        _sigmoid_(z)
+        cand[...] = tanh_cand
         c = cells[lo:hi]
         np.multiply(z[:, :hidden], cand, out=c)
         if t:

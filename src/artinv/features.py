@@ -249,6 +249,9 @@ def mfcc_cepstra(samples: np.ndarray, rate: int, cfg: MfccConfig) -> np.ndarray:
     """Un-normalized cepstra [T, cfg.cepstra] for one utterance."""
     window = cfg.window_samples(rate)
     hop = cfg.hop_samples(rate)
+    if window < 1 or hop < 1:
+        raise DataError(f"a {cfg.window_ms} ms window and a {cfg.hop_ms} ms hop are {window} and {hop} samples "
+                        f"at {rate} Hz; each must be at least 1 sample")
     nfft = 1
     while nfft < window:
         nfft *= 2

@@ -30,26 +30,25 @@ def primitive_suite(seed: int = 0) -> dict[str, float]:
 
     lstm_weights = (Tensor(np.linspace(-1, 1, 32).reshape(4, 8)), Tensor(np.linspace(1, -0.5, 16).reshape(2, 8)),
                     Tensor(np.linspace(-0.3, 0.3, 8)))
+    attention_v = Tensor(np.linspace(1, -1, 16).reshape(4, 4))
     cases = {
         "add": lambda x: ad.add(x, Tensor(np.ones_like(x.data))),
-        "sub": lambda x: ad.sub(x, Tensor(np.ones_like(x.data))),
         "mul": lambda x: ad.mul(x, Tensor(np.full_like(x.data, 1.5))),
-        "matmul": lambda x: ad.matmul(x, Tensor(np.linspace(-1, 1, 12).reshape(4, 3))),
+        "linear": lambda x: ad.linear(x, Tensor(np.linspace(-1, 1, 12).reshape(4, 3)),
+                                      Tensor(np.array([0.1, 0.0, -0.2])), activation="tanh"),
+        "squared_error": lambda x: ad.squared_error(x, Tensor(np.linspace(-1, 1, 12).reshape(3, 4))),
         "conv1d": lambda x: ad.conv1d(x, Tensor(np.linspace(-1, 1, 24).reshape(2, 4, 3)),
                                       Tensor(np.array([0.1, -0.2]))),
-        "tanh": ad.tanh,
-        "square": ad.square,
         "layer_norm": lambda x: ad.layer_norm(x, Tensor(np.linspace(0.5, 1.5, 4)), Tensor(np.linspace(-1, 1, 4)),
                                               1e-5),
-        "sum": lambda x: ad.tsum(x, axis=0),
-        "concat": lambda x: ad.concat([x, ad.square(x)], axis=-1),
-        "attention": lambda x: ad.attention(x, ad.square(x), ad.tanh(x), heads=2),
+        "concat": lambda x: ad.concat([x, ad.mul(x, x)], axis=-1),
+        "attention": lambda x: ad.attention(x, ad.mul(x, x), ad.linear(x, attention_v), heads=2),
         "lstm_sequence": lambda x: ad.lstm_sequence(x, *lstm_weights, hidden=2),
         # two sequences of 1 and 2 frames packed along the frame axis
         "conv1d_packed": lambda x: ad.conv1d(x, Tensor(np.linspace(-1, 1, 24).reshape(2, 4, 3)),
                                              Tensor(np.array([0.1, -0.2])), lengths=(1, 2)),
         "tmean_packed": lambda x: ad.tmean(x, lengths=(1, 2)),
-        "attention_packed": lambda x: ad.attention(x, ad.square(x), ad.tanh(x), heads=2, lengths=(1, 2)),
+        "attention_packed": lambda x: ad.attention(x, ad.mul(x, x), ad.linear(x, attention_v), heads=2, lengths=(1, 2)),
         "lstm_sequence_packed": lambda x: ad.lstm_sequence(x, *lstm_weights, hidden=2, lengths=(2, 1),
                                                            reverse=True),
     }
@@ -110,7 +109,7 @@ def end_to_end(seed: int = 0, config: ModelConfig | None = None,
 
     def build():
         inversion_pred, phoneme_pred = model.forward(mfcc, onehot)
-        return scenario_loss(scenario, inversion_pred, phoneme_pred, target, reduction="frame_mean")
+        return scenario_loss(scenario, inversion_pred, phoneme_pred, target)
 
     picks = []
     for partition in PARTITIONS:

@@ -30,11 +30,7 @@ class Dense:
     """Per-frame affine map [T, in] -> [T, out] with optional activation."""
 
     def __init__(self, in_dim: int, out_dim: int, activation=None, rng=None):
-        if activation not in (None, "tanh"):
-            raise ValueError(f"unknown activation {activation!r}")
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.activation = activation
+        self.activation = activation  # None or "tanh", as ``autodiff.linear`` takes it
         self.weight = uniform_init(rng, (in_dim, out_dim), in_dim)
         self.bias = uniform_init(rng, (out_dim,), in_dim)
 
@@ -43,8 +39,7 @@ class Dense:
         yield "bias", self.bias
 
     def forward(self, x: Tensor) -> Tensor:
-        y = ad.add(ad.matmul(x, self.weight), self.bias)
-        return ad.tanh(y) if self.activation == "tanh" else y
+        return ad.linear(x, self.weight, self.bias, self.activation)
 
 
 class Conv1DLayer:
@@ -136,8 +131,8 @@ class MultiHeadAttention:
         [T, T] weights of a one-segment input."""
         if x.data.shape[-1] != self.model_dim:
             raise ShapeError(f"attention: expected feature dim {self.model_dim}, got {x.data.shape[-1]}")
-        q, k, v = (ad.matmul(x, w) for w in (self.wq, self.wk, self.wv))
-        out = ad.add(x, ad.matmul(ad.attention(q, k, v, self.heads, lengths), self.wo))
+        q, k, v = (ad.linear(x, w) for w in (self.wq, self.wk, self.wv))
+        out = ad.add(x, ad.linear(ad.attention(q, k, v, self.heads, lengths), self.wo))
         if return_weights:
             return out, [Tensor(w) for w in ad._attention_weights(q.data, k.data, self.heads)]
         return out

@@ -273,21 +273,12 @@ class InversionModel:
         self.target_std = arrays["stats.target_std"].copy()
 
 
-def l2_term(pred: Tensor, target: Tensor, reduction: str = "sum", lengths=None) -> Tensor:
-    """Per utterance, the sum over frames of the squared error summed over
+def l2_term(pred: Tensor, target: Tensor, lengths=None) -> Tensor:
+    """Per utterance, the mean over frames of the squared error summed over
     channels, as a [utterances, 1] tensor (``lengths`` splits the frames,
-    one utterance by default); with reduction='frame_mean' the sum over
-    frames becomes a mean (used for training so utterance length does not
-    rescale the step)."""
-    if pred.data.shape != target.data.shape:
-        raise ShapeError(f"loss: prediction shape {pred.data.shape} != target shape {target.data.shape}")
-    if reduction not in ("sum", "frame_mean"):
-        raise ValueError(f"unknown reduction {reduction!r}")
-    per_frame = ad.tsum(ad.square(ad.sub(pred, target)), axis=1, keepdims=True)
-    lengths = lengths or (pred.data.shape[0],)
-    if reduction == "sum":
-        return ad.tsum(per_frame, lengths=lengths)
-    return ad.tmean(per_frame, lengths=lengths)
+    one utterance by default).  A mean rather than a sum, so utterance
+    length does not rescale the step."""
+    return ad.tmean(ad.squared_error(pred, target), lengths)
 
 
 @dataclass(frozen=True)
@@ -352,13 +343,16 @@ def scenario_loss(scenario: Scenario, inversion_pred, phoneme_pred, target: Tens
                   weights=(1.0, 1.0), reduction: str = "frame_mean", lengths=None) -> Tensor:
     """Per-utterance losses with only the scenario's terms included, as a
     [utterances, 1] tensor: one row per segment of ``lengths`` (a single
-    row by default)."""
+    row by default).  Each term is an ``l2_term``, so ``reduction`` can
+    only be its 'frame_mean'; the keyword stays for callers that name it."""
+    if reduction != "frame_mean":
+        raise ValueError(f"unknown reduction {reduction!r}")
     w_inv, w_phoneme = weights
     terms = []
     if "inversion" in scenario.loss_terms:
-        terms.append(ad.mul(l2_term(inversion_pred, target, reduction, lengths), w_inv))
+        terms.append(ad.mul(l2_term(inversion_pred, target, lengths), w_inv))
     if "phoneme" in scenario.loss_terms:
-        terms.append(ad.mul(l2_term(phoneme_pred, target, reduction, lengths), w_phoneme))
+        terms.append(ad.mul(l2_term(phoneme_pred, target, lengths), w_phoneme))
     loss = terms[0]
     for t in terms[1:]:
         loss = ad.add(loss, t)

@@ -100,8 +100,7 @@ def _group_losses(model: InversionModel, scenario: Scenario, group, weights) -> 
     phonemes = np.concatenate([s.phonemes for s in group]) if scenario.use_phonemes else None
     inversion_pred, phoneme_pred = model.forward(mfcc, phonemes, lengths)
     target = Tensor((np.concatenate([s.ema for s in group]) - model.target_mean) / model.target_std)
-    return scenario_loss(scenario, inversion_pred, phoneme_pred, target,
-                         weights=weights, reduction="frame_mean", lengths=lengths)
+    return scenario_loss(scenario, inversion_pred, phoneme_pred, target, weights=weights, lengths=lengths)
 
 
 def _finite_values(losses: Tensor, group, stage: str) -> list:

@@ -109,6 +109,27 @@ def layer_norm_oracle(x, gain, offset, epsilon):
     return out
 
 
+def linear_oracle(x, w, b=None, activation=None):
+    """Each output a scalar dot product of a row of x with a column of w,
+    plus the bias, through math.tanh when the activation is tanh."""
+    out = np.zeros((x.shape[0], w.shape[1]))
+    for t in range(x.shape[0]):
+        for o in range(w.shape[1]):
+            acc = 0.0 if b is None else float(b[o])
+            for i in range(w.shape[0]):
+                acc += x[t, i] * w[i, o]
+            out[t, o] = math.tanh(acc) if activation == "tanh" else acc
+    return out
+
+
+def squared_error_oracle(pred, target):
+    """Per frame, the sum over channels of the squared difference, [T, 1]."""
+    out = np.zeros((pred.shape[0], 1))
+    for t in range(pred.shape[0]):
+        out[t, 0] = sum((pred[t, c] - target[t, c]) ** 2 for c in range(pred.shape[1]))
+    return out
+
+
 def rmse_oracle(pred, target):
     out = []
     for c in range(pred.shape[1]):

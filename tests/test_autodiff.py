@@ -8,7 +8,7 @@ import pytest
 from artinv import autodiff as ad
 from artinv.autodiff import Tensor
 from artinv.errors import NumericalError
-from oracles import attention_oracle, correlate_oracle, layer_norm_oracle
+from oracles import attention_oracle, correlate_oracle, layer_norm_oracle, linear_oracle, squared_error_oracle
 
 
 def central_diff(f, x, step=1e-6):
@@ -37,7 +37,7 @@ def attention_weights(q, k, heads):
 
 class TestForward:
     def test_matmul_hand_checked(self):
-        y = ad.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
+        y = ad.linear(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
         np.testing.assert_array_equal(y.data, [[3.0], [7.0]])
 
     def test_softmax_symmetry(self):
@@ -96,10 +96,18 @@ class TestForward:
             np.testing.assert_allclose(got, layer_norm_oracle(x, gain, offset, 1e-5), atol=1e-12, rtol=0)
 
     def test_shape_mismatch_names_op_and_shapes(self):
-        with pytest.raises(ad.ShapeError, match=r"matmul.*\(2, 3\).*\(2, 3\)"):
-            ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        with pytest.raises(ad.ShapeError, match=r"linear.*\(2, 3\).*\(2, 3\)"):
+            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        with pytest.raises(ad.ShapeError, match=r"linear: bias shape \(2,\)"):
+            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(2)))
         with pytest.raises(ad.ShapeError, match="add"):
             ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+        with pytest.raises(ad.ShapeError, match="add"):  # no broadcasting: a bias goes through linear
+            ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+        with pytest.raises(ad.ShapeError, match="mul"):  # only a constant scalar may stand for an array
+            ad.mul(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+        with pytest.raises(ad.ShapeError, match=r"squared_error.*\(2, 3\).*\(2, 4\)"):
+            ad.squared_error(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
         with pytest.raises(ad.ShapeError, match=r"layer_norm.*\(2, 3\).*\(4,\)"):
             ad.layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones(4)), Tensor(np.zeros(4)), 1e-5)
 
@@ -108,7 +116,7 @@ class TestForward:
             rng = np.random.default_rng(11)
             x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
             w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-            loss = ad.tsum(ad.square(ad.tanh(ad.matmul(x, w))))
+            loss = ad.tsum(ad.squared_error(ad.linear(x, w, activation="tanh"), Tensor(np.zeros((4, 3)))))
             loss.backward()
             return loss.data.copy(), x.grad.copy(), w.grad.copy()
 
@@ -136,7 +144,7 @@ class TestBackward:
 
         ta = Tensor(a, requires_grad=True)
         tb = Tensor(b, requires_grad=True)
-        ad.tsum(ad.matmul(ta, tb)).backward()
+        ad.tsum(ad.linear(ta, tb)).backward()
 
         ga = central_diff(lambda m: float((m @ b).sum()), a)
         gb = central_diff(lambda m: float((a @ m).sum()), b)
@@ -145,10 +153,10 @@ class TestBackward:
 
     def test_accumulation_over_two_branches(self):
         x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-        ad.add(ad.tsum(ad.square(x)), ad.tsum(ad.mul(x, 3.0))).backward()
+        ad.add(ad.tsum(ad.mul(x, x)), ad.tsum(ad.mul(x, 3.0))).backward()
 
         a = Tensor(x.data.copy(), requires_grad=True)
-        ad.tsum(ad.square(a)).backward()
+        ad.tsum(ad.mul(a, a)).backward()
         b = Tensor(x.data.copy(), requires_grad=True)
         ad.tsum(ad.mul(b, 3.0)).backward()
 
@@ -176,8 +184,8 @@ def leaf_graph(seed):
 
     def build():
         x, w, b, f = (leaves[n] for n in "xwbf")
-        h = ad.matmul(ad.tanh(ad.add(ad.matmul(x, w), b)), f)
-        return ad.tsum(ad.add(ad.mul(h, ad.matmul(x, w)), b))
+        h = ad.linear(ad.linear(x, w, b, activation="tanh"), f)
+        return ad.tsum(ad.linear(ad.mul(h, ad.linear(x, w)), f, b))
 
     return leaves, build
 
@@ -230,11 +238,12 @@ class TestOnLeaf:
 class TestGradCheck:
     def test_quadratic_is_nearly_exact(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        assert ad.check_gradients(lambda: ad.tsum(ad.square(x)), [x], step=1e-6) < 1e-7
+        assert ad.check_gradients(lambda: ad.tsum(ad.mul(x, x)), [x], step=1e-6) < 1e-7
 
     def test_tanh_sum(self):
-        x = Tensor(np.random.default_rng(1).normal(size=8), requires_grad=True)
-        assert ad.check_gradients(lambda: ad.tsum(ad.tanh(x)), [x], step=1e-6) < 1e-6
+        x = Tensor(np.random.default_rng(1).normal(size=(2, 4)), requires_grad=True)
+        identity = Tensor(np.eye(4))
+        assert ad.check_gradients(lambda: ad.tsum(ad.linear(x, identity, activation="tanh")), [x], step=1e-6) < 1e-6
 
     def test_softmax_sum_has_zero_gradient(self):
         # attention rows sum to one, so identical value rows give the same
@@ -269,6 +278,97 @@ class TestGradCheck:
         for _ in range(3):
             assert ad.check_gradients(build, [x, gain, offset], step=1e-6) < 1e-6
             x.data[:] = rng.normal(size=(4, 5))
+
+
+LINEAR_VARIANTS = [(bias, activation) for bias in (False, True) for activation in (None, "tanh")]
+
+
+class TestFused:
+    """``linear`` and ``squared_error``: forward values against plain-loop
+    oracles, the gradient of every operand against ``check_gradients`` and
+    central differences of the oracle, and bitwise equality with the op
+    chains each node replaces."""
+
+    @pytest.mark.parametrize("bias, activation", LINEAR_VARIANTS)
+    def test_linear_vs_oracle(self, bias, activation):
+        rng = np.random.default_rng(50)
+        for _ in range(10):
+            frames, n_in, n_out = (int(n) for n in rng.integers(1, 6, size=3))
+            x, w, b = rng.normal(size=(frames, n_in)), rng.normal(size=(n_in, n_out)), rng.normal(size=n_out)
+            b = b if bias else None
+            got = ad.linear(Tensor(x), Tensor(w), b if b is None else Tensor(b), activation).data
+            np.testing.assert_allclose(got, linear_oracle(x, w, b, activation), atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("bias, activation", LINEAR_VARIANTS)
+    def test_linear_gradients_of_every_operand(self, bias, activation):
+        rng = np.random.default_rng(51)
+        operands = [rng.normal(size=(4, 3)), rng.normal(size=(3, 2))] + ([rng.normal(size=2)] if bias else [])
+        coeffs = rng.normal(size=(4, 2))
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in operands]
+
+        def build():
+            return ad.tsum(ad.mul(ad.linear(*tensors, activation=activation), Tensor(coeffs)))
+
+        assert ad.check_gradients(build, tensors, step=1e-6) < 1e-6  # leaves the analytic gradients
+        for i, t in enumerate(tensors):
+            def oracle_loss(a, i=i):
+                args = operands[:i] + [a] + operands[i + 1:]
+                return float((linear_oracle(*args, activation=activation) * coeffs).sum())
+
+            np.testing.assert_allclose(t.grad, central_diff(oracle_loss, operands[i].copy()), rtol=1e-6, atol=1e-8)
+
+    def test_linear_replays_the_op_chain_bitwise(self):
+        """Output and gradients equal, bit for bit, a product, a bias add and
+        a tanh run as separate numpy ops with their adjoints in turn."""
+        rng = np.random.default_rng(52)
+        x, w, b, g = rng.normal(size=(6, 5)), rng.normal(size=(5, 4)), rng.normal(size=4), rng.normal(size=(6, 4))
+        tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        y = ad.linear(tx, tw, tb, activation="tanh")
+        ad.tsum(ad.mul(y, Tensor(g))).backward()
+        chain = np.tanh(x @ w + b)
+        g_pre = g * (1.0 - chain * chain)
+        assert np.array_equal(y.data, chain)
+        assert np.array_equal(tb.grad, g_pre.sum(axis=0))
+        assert np.array_equal(tx.grad, g_pre @ w.T)
+        assert np.array_equal(tw.grad, x.T @ g_pre)
+
+    def test_squared_error_vs_oracle(self):
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            pred, target = rng.normal(size=(2, int(rng.integers(1, 6)), int(rng.integers(1, 6))))
+            got = ad.squared_error(Tensor(pred), Tensor(target)).data
+            np.testing.assert_allclose(got, squared_error_oracle(pred, target), atol=1e-12, rtol=0)
+
+    def test_squared_error_gradients_of_every_operand(self):
+        rng = np.random.default_rng(54)
+        operands = [rng.normal(size=(4, 3)), rng.normal(size=(4, 3))]
+        coeffs = rng.normal(size=(4, 1))
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in operands]
+
+        def build():
+            return ad.tsum(ad.mul(ad.squared_error(*tensors), Tensor(coeffs)))
+
+        assert ad.check_gradients(build, tensors, step=1e-6) < 1e-6  # leaves the analytic gradients
+        for i, t in enumerate(tensors):
+            def oracle_loss(a, i=i):
+                args = operands[:i] + [a] + operands[i + 1:]
+                return float((squared_error_oracle(*args) * coeffs).sum())
+
+            np.testing.assert_allclose(t.grad, central_diff(oracle_loss, operands[i].copy()), rtol=1e-6, atol=1e-8)
+
+    def test_squared_error_replays_the_op_chain_bitwise(self):
+        """Output and gradients equal, bit for bit, a difference, a square and
+        a channel sum run as separate numpy ops with their adjoints in turn."""
+        rng = np.random.default_rng(55)
+        pred, target, g = rng.normal(size=(6, 12)), rng.normal(size=(6, 12)), rng.normal(size=(6, 1))
+        tp, tt = Tensor(pred, requires_grad=True), Tensor(target, requires_grad=True)
+        y = ad.squared_error(tp, tt)
+        ad.tsum(ad.mul(y, Tensor(g))).backward()
+        d = pred - target
+        g_d = np.broadcast_to(g, d.shape).copy() * 2.0 * d
+        assert np.array_equal(y.data, (d * d).sum(axis=1, keepdims=True))
+        assert np.array_equal(tp.grad, g_d)
+        assert np.array_equal(tt.grad, -g_d)
 
 
 class TestPacked:
@@ -306,8 +406,6 @@ class TestPacked:
         mean = ad.tmean(x, lengths=(1, 3, 2))
         np.testing.assert_allclose(mean.data, [x.data[0], x.data[1:4].mean(0), x.data[4:].mean(0)],
                                    atol=1e-15, rtol=0)
-        np.testing.assert_allclose(ad.tsum(x, lengths=(4, 2)).data, [x.data[:4].sum(0), x.data[4:].sum(0)],
-                                   atol=1e-15, rtol=0)
         coeffs = Tensor(rng.normal(size=(3, 2)))
         assert ad.check_gradients(lambda: ad.tsum(ad.mul(ad.tmean(x, lengths=(1, 3, 2)), coeffs)), [x]) < 1e-7
 
@@ -331,9 +429,9 @@ def test_backward_consumes_the_graph():
     rng = np.random.default_rng(44)
     x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    hidden = ad.tanh(ad.matmul(x, w))
-    loss = ad.tsum(ad.square(hidden))
-    inner = [hidden, hidden._parents[0], loss._parents[0], loss]
+    hidden = ad.linear(x, w, activation="tanh")
+    loss = ad.tsum(ad.squared_error(hidden, Tensor(np.zeros((4, 2)))))
+    inner = [hidden, loss._parents[0], loss]
     ad.backward(loss)
     assert x.grad is not None and w.grad is not None
     for node in inner:
@@ -342,6 +440,7 @@ def test_backward_consumes_the_graph():
 
 LSTM_WEIGHTS = (Tensor(np.linspace(-1, 1, 32).reshape(4, 8)), Tensor(np.linspace(1, -0.5, 16).reshape(2, 8)),
                 Tensor(np.linspace(-0.3, 0.3, 8)))
+ATTENTION_V = Tensor(np.linspace(1, -1, 16).reshape(4, 4))
 
 
 def _weighted(op, x):
@@ -354,20 +453,23 @@ def _weighted(op, x):
 
 PRIMITIVES = {
     "add": lambda x: ad.add(x, Tensor(np.linspace(-1, 1, x.data.size).reshape(x.data.shape))),
-    "sub": lambda x: ad.sub(Tensor(np.ones_like(x.data)), x),
     "mul": lambda x: ad.mul(x, Tensor(np.linspace(0.5, 2, x.data.size).reshape(x.data.shape))),
-    "matmul": lambda x: ad.matmul(x, Tensor(np.linspace(-1, 1, 12).reshape(4, 3))),
+    # linear's paths: x as the left operand of the product alone, as the
+    # right operand under tanh, and as a [4] bias broadcast over 3 frames
+    # (its gradient sums back over the rows)
+    "matmul": lambda x: ad.linear(x, Tensor(np.linspace(-1, 1, 12).reshape(4, 3))),
+    "tanh": lambda x: ad.linear(Tensor(np.linspace(-1, 1, 6).reshape(2, 3)), x, activation="tanh"),
+    "broadcast": lambda x: ad.linear(Tensor(np.linspace(-1, 1, 6).reshape(3, 2)),
+                                     Tensor(np.linspace(1, -1, 8).reshape(2, 4)), x, activation="tanh"),
+    # squared_error's operands: the prediction, squared, and the subtracted target
+    "square": lambda x: ad.squared_error(x, Tensor(np.linspace(-1, 1, x.data.size).reshape(x.data.shape))),
+    "sub": lambda x: ad.squared_error(Tensor(np.linspace(-1, 1, x.data.size).reshape(x.data.shape)), x),
     "conv1d": lambda x: ad.conv1d(x, Tensor(np.linspace(-1, 1, 6).reshape(1, 2, 3)), Tensor(np.array([0.1]))),
-    "tanh": ad.tanh,
-    "square": ad.square,
     "layer_norm": lambda x: ad.layer_norm(x, Tensor(np.linspace(0.5, 2, 4)), Tensor(np.linspace(-1, 1, 4)), 1e-5),
-    "sum_axis": lambda x: ad.tsum(x, axis=0),
-    "concat": lambda x: ad.concat([x, ad.square(x)], axis=-1),
-    # a [1, 4] row broadcast over frames, as a bias is: gradients sum back over rows
-    "broadcast": lambda x: ad.mul(ad.tsum(x, axis=0, keepdims=True), Tensor(np.linspace(-1, 1, 12).reshape(3, 4))),
-    "attention": lambda x: ad.attention(x, ad.square(x), ad.tanh(x), heads=2),
+    "concat": lambda x: ad.concat([x, ad.mul(x, x)], axis=-1),
+    "attention": lambda x: ad.attention(x, ad.mul(x, x), ad.linear(x, ATTENTION_V), heads=2),
     # packed sequences: segments of 1 and 2 frames (2 and 3 for conv1d)
-    "attention_packed": lambda x: ad.attention(x, ad.square(x), ad.tanh(x), heads=2, lengths=(1, 2)),
+    "attention_packed": lambda x: ad.attention(x, ad.mul(x, x), ad.linear(x, ATTENTION_V), heads=2, lengths=(1, 2)),
     "conv1d_packed": lambda x: ad.conv1d(x, Tensor(np.linspace(-1, 1, 6).reshape(1, 2, 3)), Tensor(np.array([0.1])),
                                          lengths=(2, 3)),
     "lstm_sequence": lambda x: ad.lstm_sequence(x, *LSTM_WEIGHTS, hidden=2),
@@ -382,7 +484,7 @@ def test_primitive_gradients(name):
     """Every primitive passes check_gradients at 10 random points (module invariant)."""
     op = PRIMITIVES[name]
     rng = np.random.default_rng(zlib.crc32(name.encode()))
-    shape = (5, 2) if name.startswith("conv1d") else (3, 4)
+    shape = (5, 2) if name.startswith("conv1d") else (4,) if name == "broadcast" else (3, 4)
     for _ in range(10):
         x = Tensor(rng.normal(size=shape), requires_grad=True)
         err = ad.check_gradients(lambda: _weighted(op, x), [x], step=1e-6)
@@ -392,7 +494,7 @@ def test_primitive_gradients(name):
 def test_no_grad_suppresses_recording():
     x = Tensor(np.ones(3), requires_grad=True)
     with ad.no_grad():
-        y = ad.tsum(ad.square(x))
+        y = ad.tsum(ad.mul(x, x))
     assert not y.requires_grad
     y.backward()
     assert x.grad is None
@@ -405,6 +507,6 @@ def test_check_gradients_helper_on_composite():
     x = rng.normal(size=(5, 4))
 
     def build():
-        return ad.tsum(ad.square(ad.tanh(ad.add(ad.matmul(Tensor(x), w), b))))
+        return ad.tsum(ad.squared_error(ad.linear(Tensor(x), w, b, activation="tanh"), Tensor(np.zeros((5, 3)))))
 
     assert ad.check_gradients(build, [w, b], step=1e-6) < 1e-6

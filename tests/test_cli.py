@@ -4,6 +4,8 @@ import hashlib
 import os
 import subprocess
 import sys
+import types
+import wave
 from pathlib import Path
 
 import pytest
@@ -284,6 +286,25 @@ def test_bad_feature_flag_is_usage_error(tmp_path, capsys, command, flag, value,
     assert not out.exists()  # rejected before any run directory is made
 
 
+@pytest.mark.parametrize("flag", ["--hop_ms", "--window_ms"])
+def test_hop_or_window_under_one_sample_is_data_error(tmp_path, capsys, flag):
+    """0.01 ms rounds to 0 samples at 16 kHz: a WAV utterance is rejected by
+    name (exit 2) instead of being framed with a zero hop or window."""
+    manifest = synth(tmp_path)
+    header, row = manifest.read_text().splitlines()[:2]
+    utt, speaker, _, alignment, ema = row.split(",")
+    with wave.open(str(manifest.parent / f"{utt}.wav"), "wb") as audio:
+        audio.setnchannels(1)
+        audio.setsampwidth(2)
+        audio.setframerate(16000)
+        audio.writeframes(bytes(3200))
+    manifest.write_text(f"{header}\n{utt},{speaker},{utt}.wav,{alignment},{ema}\n")
+    assert main(["train", "--manifest", str(manifest), "--scenario", "S3", "--out", str(tmp_path / "runs"),
+                 "--seed", "0", *FAST_TRAIN, flag, "0.01"]) == 2
+    err = capsys.readouterr().err
+    assert utt in err and "at 16000 Hz" in err
+
+
 def test_unset_blas_thread_count_gives_the_pinned_bytes(tmp_path):
     """OpenBLAS's own default thread count (one per core) would change GEMM
     rounding; importing artinv pins it to 1 unless the user set it."""
@@ -299,3 +320,49 @@ def test_unset_blas_thread_count_gives_the_pinned_bytes(tmp_path):
                        env={**base, **threads}, capture_output=True, check=True)
         digests.append(hashlib.sha256((next(out.glob("train-*")) / "checkpoint.ckpt").read_bytes()).hexdigest())
     assert digests[0] == digests[1]
+
+
+# Prints the OpenBLAS thread count ("none" without numpy's scipy-openblas
+# library) and a digest of one full-size forward at T = 225.
+IMPORT_ORDER_PROBE = """
+import ctypes, glob, hashlib, os, sys
+if sys.argv[1] == "numpy_first":
+    import numpy
+import artinv
+import numpy as np
+from artinv.model import InversionModel
+
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so"))
+threads = "none"
+if libs:
+    get_threads = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+    get_threads.restype = ctypes.c_int
+    threads = get_threads()
+rng = np.random.default_rng(0)
+onehot = np.eye(39)[rng.integers(0, 39, 225)]
+out = InversionModel(seed=0).predict(rng.normal(size=(225, 39)), onehot)
+print(threads, hashlib.sha256(out["inversion"].tobytes()).hexdigest())
+"""
+
+
+def test_blas_pin_holds_when_numpy_is_imported_first():
+    """A numpy imported before artinv has loaded OpenBLAS before the pin's
+    variable is set; artinv then sets the count through that library, so
+    both import orders run 1 thread and give the same bytes."""
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(artinv.__file__).resolve().parents[1])
+    results = [subprocess.run([sys.executable, "-c", IMPORT_ORDER_PROBE, order], env=env, capture_output=True,
+                              text=True, check=True).stdout.split()
+               for order in ("artinv_first", "numpy_first")]
+    if results[0][0] == "none":
+        pytest.skip("this numpy carries no scipy-openblas library")
+    assert results[0][0] == "1"
+    assert results[1] == results[0]
+
+
+def test_blas_pin_warns_when_the_loaded_library_is_not_found(tmp_path, monkeypatch, caplog):
+    fake_numpy = types.ModuleType("numpy")
+    fake_numpy.__file__ = str(tmp_path / "numpy" / "__init__.py")
+    monkeypatch.setitem(sys.modules, "numpy", fake_numpy)
+    artinv._pin_loaded_openblas()
+    assert "thread count could not be set" in caplog.text

@@ -138,7 +138,7 @@ class TestAttention:
                 seen[id(node)] = node._op
                 stack.extend(node._parents)
         # q, k and v projections, all heads, output projection, residual
-        assert sorted(seen.values()) == ["add", "attention", "matmul", "matmul", "matmul", "matmul"]
+        assert sorted(seen.values()) == ["add", "attention", "linear", "linear", "linear", "linear"]
 
     def test_stack_permutation_equivariance(self):
         rng = np.random.default_rng(9)

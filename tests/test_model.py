@@ -113,7 +113,8 @@ class TestForward:
 
 def test_tape_holds_exactly_the_model_primitives():
     """Every public autodiff function that records a node is reached from
-    the S3 or speech-only training loss, and the losses reach nothing else."""
+    the S3 or speech-only training loss (the sum of the per-utterance
+    losses), and the losses reach nothing else."""
     primitives = {name for name, fn in vars(ad).items()
                   if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_")}
     primitives -= {"backward", "no_grad", "check_gradients"}
@@ -123,7 +124,7 @@ def test_tape_holds_exactly_the_model_primitives():
         model = InversionModel(config, seed=33)
         apply_scenario(scenario, model)
         inv, pho = model.forward(sample.mfcc, sample.phonemes if scenario.use_phonemes else None)
-        seen, stack = set(), [scenario_loss(scenario, inv, pho, Tensor(sample.ema))]
+        seen, stack = set(), [ad.tsum(scenario_loss(scenario, inv, pho, Tensor(sample.ema)))]
         while stack:
             node = stack.pop()
             if node._op is not None and id(node) not in seen:
@@ -155,24 +156,48 @@ def test_gradcheck_primitive_suite_covers_the_tape(monkeypatch):
     assert recorded == primitives
 
 
+def test_full_size_s3_utterance_records_74_nodes():
+    """The per-utterance S3 loss of the full-size model is 74 tape nodes:
+    31 ``linear`` (6 attention layers of 4 projections, and 7 dense layers),
+    10 LSTM directions, 8 concats (5 BLSTM layers, the conv bank, the
+    speech-stream merge and the head's input), 7 residual and loss adds and
+    one node per term for each of the loss's 3 steps."""
+    rng = np.random.default_rng(34)
+    model = InversionModel(ModelConfig(), seed=35)
+    apply_scenario(S3, model)
+    frames = 3
+    inv, pho = model.forward(rng.normal(size=(frames, 39)), np.eye(39)[rng.integers(0, 39, frames)])
+    ops, seen, stack = {}, set(), [scenario_loss(S3, inv, pho, Tensor(rng.normal(size=(frames, 12))))]
+    while stack:
+        node = stack.pop()
+        if node._vjp is not None and id(node) not in seen:
+            seen.add(id(node))
+            ops[node._op] = ops.get(node._op, 0) + 1
+            stack.extend(node._parents)
+    assert ops == {"linear": 31, "lstm_sequence": 10, "concat": 8, "add": 7, "attention": 6, "conv1d": 5,
+                   "layer_norm": 1, "squared_error": 2, "tmean": 2, "mul": 2}
+    assert sum(ops.values()) == 74
+
+
 class TestJointLoss:
-    """The S3 loss (both terms) under the direct-summation reduction."""
+    """The S3 loss (both terms): per frame, the squared error summed over
+    channels; per utterance, its mean over frames."""
 
     def test_zero_when_predictions_match(self):
         t = Tensor(np.random.default_rng(0).normal(size=(4, 12)))
-        assert scenario_loss(S3, t, t, t, reduction="sum").item() == 0.0
+        assert scenario_loss(S3, t, t, t).item() == 0.0
 
     def test_unit_offset_sums_cells(self):
         target = np.zeros((2, 12))
         off = Tensor(target + 1.0)
         exact = Tensor(target)
-        # direct summation oracle: 2 frames x 12 channels of squared unit error
-        assert scenario_loss(S3, off, exact, Tensor(target), weights=(1.0, 1.0), reduction="sum").item() == 24.0
+        # 12 channels of squared unit error in each of the 2 frames
+        assert scenario_loss(S3, off, exact, Tensor(target), weights=(1.0, 1.0)).item() == 12.0
 
     def test_zero_phoneme_weight_reduces_to_single_stream(self):
         rng = np.random.default_rng(1)
         a, b, t = (Tensor(rng.normal(size=(3, 12))) for _ in range(3))
-        full = scenario_loss(S3, a, b, t, weights=(1.0, 0.0), reduction="sum").item()
+        full = scenario_loss(S3, a, b, t, weights=(1.0, 0.0)).item()
         single = mdl.l2_term(a, t).item()
         assert full == single
 
@@ -182,20 +207,21 @@ class TestJointLoss:
             a = Tensor(rng.normal(size=(3, 12)))
             b = Tensor(rng.normal(size=(3, 12)))
             t = Tensor(rng.normal(size=(3, 12)))
-            value = scenario_loss(S3, a, b, t, reduction="sum").item()
+            value = scenario_loss(S3, a, b, t).item()
             assert value >= 0.0
             assert (value == 0.0) == (np.array_equal(a.data, t.data) and np.array_equal(b.data, t.data))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            scenario_loss(S3, Tensor(np.zeros((3, 12))), Tensor(np.zeros((3, 12))), Tensor(np.zeros((4, 12))),
-                          reduction="sum")
+            scenario_loss(S3, Tensor(np.zeros((3, 12))), Tensor(np.zeros((3, 12))), Tensor(np.zeros((4, 12))))
 
     def test_frame_mean_reduction(self):
         target = np.zeros((4, 12))
         off = Tensor(target + 2.0)
-        got = mdl.l2_term(off, Tensor(target), reduction="frame_mean").item()
+        got = mdl.l2_term(off, Tensor(target)).item()
         assert got == 48.0  # per-frame 4*12 = 48, identical frames
+        with pytest.raises(ValueError, match="reduction"):
+            scenario_loss(S3, off, off, Tensor(target), reduction="sum")
 
 
 class TestScenarios:
