@@ -10,11 +10,11 @@ can hand each leaf to a callback as soon as the leaf's gradient is final
 (the optimizer's per-parameter update).
 
 The sequence primitives (``conv1d``, ``attention``, ``lstm_sequence``)
-take optional segment ``lengths``: several sequences packed along the
-frame axis of one [sum(T), .] array, each processed as if alone.  Every
-other op works per frame and needs no lengths.  All arithmetic is 64-bit
-and single-threaded, so identical inputs produce bitwise identical
-outputs and gradients.
+and the loss (``squared_error``) take optional segment ``lengths``:
+several sequences packed along the frame axis of one [sum(T), .] array,
+each processed as if alone.  Every other op works per frame and needs no
+lengths.  All arithmetic is 64-bit and single-threaded, so identical
+inputs produce bitwise identical outputs and gradients.
 """
 
 from __future__ import annotations
@@ -149,49 +149,53 @@ def linear(x, w, b=None, activation=None) -> Tensor:
     return _make(y, "linear", (x, w) if b is None else (x, w, b), vjp)
 
 
-def squared_error(pred, target) -> Tensor:
-    """Per-frame squared error of two [T, C] tensors summed over the C
-    channels, as [T, 1].  One tape node; its adjoint chains the adjoints of
-    the difference, the square and the channel sum in order, so it matches
-    one node per op bit for bit."""
+def squared_error(pred, target, lengths=None) -> Tensor:
+    """Per segment of ``lengths`` (one segment by default), the mean over
+    its frames of the squared error of two [T, C] tensors summed over the C
+    channels, as [segments, 1].  A mean rather than a sum, so utterance
+    length does not rescale the step; each segment reduces only its own
+    frames, so a non-finite value stays in its segment's result.  One tape
+    node; its adjoint chains the adjoints of the difference, the square,
+    the channel sum and the segment mean in order, so it matches one node
+    per op bit for bit."""
     pred, target = _as_tensor(pred), _as_tensor(target)
     if pred.data.ndim != 2 or pred.data.shape != target.data.shape:
         raise ShapeError(f"squared_error: prediction shape {pred.data.shape} != target shape {target.data.shape}")
+    lens = _segments(lengths, pred.data.shape[0], "squared_error")
+    starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
+    counts = lens.reshape(-1, 1)
     d = pred.data - target.data
 
     def vjp(g):
-        g_d = (g * 2.0) * d
+        g_d = (np.repeat(g / counts, lens, axis=0) * 2.0) * d
         return g_d, -g_d
 
-    return _make((d * d).sum(axis=1, keepdims=True), "squared_error", (pred, target), vjp)
+    frame_errors = (d * d).sum(axis=1, keepdims=True)
+    return _make(np.add.reduceat(frame_errors, starts, axis=0) / counts, "squared_error", (pred, target), vjp)
 
 
 # -- structure and reductions ----------------------------------------------
 
-def concat(tensors, axis: int = -1) -> Tensor:
-    """Concatenate along ``axis`` (feature axis by default)."""
+def concat(tensors) -> Tensor:
+    """Join [T, C_i] tensors along the feature axis into [T, sum(C_i)]."""
     parts = [_as_tensor(t) for t in tensors]
-    if not parts:
-        raise ShapeError("concat: needs at least one tensor")
-    try:
-        data = np.concatenate([p.data for p in parts], axis=axis)
-    except ValueError:
-        raise ShapeError(
-            f"concat: shapes {[p.data.shape for p in parts]} do not align on axis {axis}"
-        ) from None
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum(sizes)[:-1]
+    shapes = [p.data.shape for p in parts]
+    if not parts or any(len(shape) != 2 or shape[0] != shapes[0][0] for shape in shapes):
+        raise ShapeError(f"concat: expects [T, C] tensors of one T, got shapes {shapes}")
+    offsets = np.cumsum([shape[1] for shape in shapes])[:-1]
 
     def vjp(g):
-        return tuple(np.split(g, offsets, axis=axis))
+        return tuple(np.split(g, offsets, axis=1))
 
-    return _make(data, "concat", parts, vjp)
+    return _make(np.concatenate([p.data for p in parts], axis=1), "concat", parts, vjp)
 
 
 def _segments(lengths, frames: int, op: str) -> np.ndarray:
     """Validated segment lengths of a [sum(lengths), ...] packed array; the
     default is one segment spanning all ``frames`` rows."""
     if lengths is None:
+        if frames < 1:
+            raise ShapeError(f"{op}: input has no frames")
         return np.array([frames])
     lens = np.asarray(lengths)
     if lens.ndim != 1 or lens.size < 1 or lens.dtype.kind not in "iu" or np.any(lens < 1) \
@@ -208,22 +212,6 @@ def tsum(x) -> Tensor:
         return (np.broadcast_to(g, x.data.shape).copy(),)
 
     return _make(x.data.sum(), "tsum", (x,), vjp)
-
-
-def tmean(x, lengths=None) -> Tensor:
-    """The per-segment mean over rows of the ``lengths`` segments of ``x``
-    (one segment by default): [sum(lengths), ...] -> [segments, ...].  Each
-    segment reduces only its own rows, so a non-finite value stays in its
-    segment's result."""
-    x = _as_tensor(x)
-    lens = _segments(lengths, x.data.shape[0], "tmean")
-    starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    counts = lens.reshape((-1,) + (1,) * (x.data.ndim - 1))
-
-    def vjp(g):
-        return (np.repeat(g / counts, lens, axis=0),)
-
-    return _make(np.add.reduceat(x.data, starts, axis=0) / counts, "tmean", (x,), vjp)
 
 
 def layer_norm(x, gain, offset, epsilon: float) -> Tensor:
@@ -267,8 +255,6 @@ def conv1d(x, w, b=None, lengths=None) -> Tensor:
     c_out, c_in_w, k = w.data.shape
     if c_in != c_in_w:
         raise ShapeError(f"conv1d: input has {c_in} channels but kernel expects {c_in_w}")
-    if t_in < 1:
-        raise ShapeError("conv1d: input has no frames")
     if k % 2 == 0:
         raise ShapeError(f"conv1d: kernel size must be odd, got {k}")
     pad = (k - 1) // 2
@@ -314,9 +300,10 @@ def _sigmoid_(a: np.ndarray) -> None:
     np.reciprocal(a, out=a)
 
 
-def lstm_sequence(x, wx, wh, b, hidden: int, lengths=None, reverse: bool = False) -> Tensor:
-    """Single-direction LSTM over a [T, D] sequence; returns the [T, H]
-    hidden-state trajectory from zero initial state.
+def lstm_sequence(x, wx, wh, b, lengths=None, reverse: bool = False) -> Tensor:
+    """Single-direction LSTM over a [T, D] sequence with H = ``wh``'s row
+    count; returns the [T, H] hidden-state trajectory from zero initial
+    state.
 
     Fused primitive: gates use the (input, forget, candidate, output) block
     order in the [D, 4H] / [H, 4H] matrices, sigmoid for i/f/o and tanh for
@@ -332,15 +319,13 @@ def lstm_sequence(x, wx, wh, b, hidden: int, lengths=None, reverse: bool = False
     ``pack_padded_sequence``), so no padded step is computed or stored.
     """
     x, wx, wh, b = _as_tensor(x), _as_tensor(wx), _as_tensor(wh), _as_tensor(b)
-    frames, in_dim = x.data.shape
-    if frames < 1:
-        raise ShapeError("lstm_sequence: input has no frames")
-    if wx.data.shape != (in_dim, 4 * hidden):
-        raise ShapeError(f"lstm_sequence: wx shape {wx.data.shape} != ({in_dim}, {4 * hidden})")
-    if wh.data.shape != (hidden, 4 * hidden):
-        raise ShapeError(f"lstm_sequence: wh shape {wh.data.shape} != ({hidden}, {4 * hidden})")
-    if b.data.shape != (4 * hidden,):
-        raise ShapeError(f"lstm_sequence: bias shape {b.data.shape} != ({4 * hidden},)")
+    if x.data.ndim != 2 or x.data.shape[0] < 1 or wh.data.ndim != 2:
+        raise ShapeError(f"lstm_sequence: expects x [T, D] with T >= 1 and wh [H, 4H], got {x.data.shape} "
+                         f"and {wh.data.shape}")
+    (frames, in_dim), hidden = x.data.shape, wh.data.shape[0]
+    if (wx.data.shape, wh.data.shape, b.data.shape) != ((in_dim, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,)):
+        raise ShapeError(f"lstm_sequence: wx, wh and bias shapes {wx.data.shape}, {wh.data.shape} and {b.data.shape} "
+                         f"are not ({in_dim}, {4 * hidden}), ({hidden}, {4 * hidden}) and ({4 * hidden},)")
     lens = _segments(lengths, frames, "lstm_sequence")
 
     # packed position p holds (step t_of[p], sequence order[rank[p]]); each

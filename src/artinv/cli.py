@@ -227,6 +227,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_loso(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     hyper = _hyper(args)
     cfg = _mfcc_config(args)
     samples = dataio.load_manifest(args.manifest, cfg)
@@ -246,6 +248,8 @@ def cmd_loso(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     hyper = _hyper(args)
     cfg = _mfcc_config(args)
     samples = dataio.load_manifest(args.manifest, cfg)

@@ -465,7 +465,7 @@ def model_from_checkpoint(ckpt: Checkpoint, path="checkpoint") -> InversionModel
     """Build the model the checkpoint describes, for inference: its
     parameters are the checkpoint's read-only arrays, not copies.  Raise
     CheckpointError unless every parameter and ``stats.*`` array the model
-    holds is present with the model's shape."""
+    holds is present with the model's shape and finite."""
     try:
         config = ModelConfig.from_dict(ckpt.model_config)
     except (KeyError, TypeError, ValueError) as exc:
@@ -478,13 +478,16 @@ def model_from_checkpoint(ckpt: Checkpoint, path="checkpoint") -> InversionModel
 
 def require_arrays(ckpt: Checkpoint, wanted: dict[str, np.ndarray], path="checkpoint") -> None:
     """Raise CheckpointError unless the checkpoint holds every array of
-    ``wanted`` (name -> the model's array) with the model's shape."""
+    ``wanted`` (name -> the model's array) with the model's shape and
+    only finite values."""
     for name, own in wanted.items():
         if name not in ckpt.arrays:
             raise CheckpointError(f"{path}: no array {name!r}")
         if ckpt.arrays[name].shape != own.shape:
             raise CheckpointError(f"{path}: array {name!r} has shape {ckpt.arrays[name].shape}, "
                                   f"the model needs {own.shape}")
+        if not np.isfinite(ckpt.arrays[name]).all():
+            raise CheckpointError(f"{path}: array {name!r} holds non-finite values")
 
 
 def require_compatible(ckpt: Checkpoint, feature_hash: str, path="checkpoint") -> None:

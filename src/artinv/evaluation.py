@@ -162,9 +162,6 @@ class EvalReport:
     def grand_rmse(self, stream: str) -> float:
         return self.grand[stream].rmse_mean
 
-    def grand_pcc(self, stream: str) -> float:
-        return self.grand[stream].pcc_mean
-
 
 def channel_indices(channels: str):
     if channels == "tongue":

@@ -26,6 +26,14 @@ def uniform_init(rng: np.random.Generator | None, shape, fan_in: int) -> Tensor:
     return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
 
 
+def named_parameters(children):
+    """(prefix.name, tensor) for each parameter of each (prefix, layer) pair
+    of ``children``, in order."""
+    for prefix, child in children:
+        for name, p in child.parameters():
+            yield f"{prefix}.{name}", p
+
+
 class Dense:
     """Per-frame affine map [T, in] -> [T, out] with optional activation."""
 
@@ -76,14 +84,10 @@ class ConvBank:
         ]
 
     def parameters(self):
-        for k, branch in zip(self.kernel_sizes, self.branches):
-            for name, p in branch.parameters():
-                yield f"k{k}.{name}", p
+        return named_parameters((f"k{k}", branch) for k, branch in zip(self.kernel_sizes, self.branches))
 
     def forward(self, x: Tensor, lengths=None) -> Tensor:
-        if x.data.shape[0] < 1:
-            raise ShapeError("conv bank: input has no frames")
-        return ad.concat([branch.forward(x, lengths) for branch in self.branches], axis=1)
+        return ad.concat([branch.forward(x, lengths) for branch in self.branches])
 
 
 class LayerNorm:
@@ -149,11 +153,7 @@ class AttentionEncoder:
         self.norm = LayerNorm(model_dim)
 
     def parameters(self):
-        for i, layer in enumerate(self.layers):
-            for name, p in layer.parameters():
-                yield f"attn{i}.{name}", p
-        for name, p in self.norm.parameters():
-            yield f"norm.{name}", p
+        return named_parameters([(f"attn{i}", layer) for i, layer in enumerate(self.layers)] + [("norm", self.norm)])
 
     def forward(self, x: Tensor, lengths=None) -> Tensor:
         for layer in self.layers:
@@ -166,8 +166,6 @@ class _LSTMCell:
     candidate; gate blocks are ordered (i, f, g, o) in the fused matrices."""
 
     def __init__(self, input_dim: int, hidden: int, rng=None):
-        self.input_dim = input_dim
-        self.hidden = hidden
         self.wx = uniform_init(rng, (input_dim, 4 * hidden), input_dim)
         self.wh = uniform_init(rng, (hidden, 4 * hidden), hidden)
         self.bias = uniform_init(rng, (4 * hidden,), hidden)
@@ -178,7 +176,7 @@ class _LSTMCell:
         yield "bias", self.bias
 
     def run(self, x: Tensor, lengths=None, reverse: bool = False) -> Tensor:
-        return ad.lstm_sequence(x, self.wx, self.wh, self.bias, self.hidden, lengths, reverse)
+        return ad.lstm_sequence(x, self.wx, self.wh, self.bias, lengths, reverse)
 
 
 class BLSTMLayer:
@@ -193,17 +191,14 @@ class BLSTMLayer:
         self.bw = _LSTMCell(input_dim, hidden, rng=rng)
 
     def parameters(self):
-        for name, p in self.fw.parameters():
-            yield f"fw.{name}", p
-        for name, p in self.bw.parameters():
-            yield f"bw.{name}", p
+        return named_parameters((("fw", self.fw), ("bw", self.bw)))
 
     def forward(self, x: Tensor, lengths=None) -> Tensor:
         if x.data.shape[-1] != self.input_dim:
             raise ShapeError(f"blstm: expected input dim {self.input_dim}, got {x.data.shape[-1]}")
         forward_states = self.fw.run(x, lengths)
         backward_states = self.bw.run(x, lengths, reverse=True)
-        return ad.concat([forward_states, backward_states], axis=1)
+        return ad.concat([forward_states, backward_states])
 
 
 # Elements per Adam block: 256 KB of float64, so a block of the gradient,

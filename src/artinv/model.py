@@ -83,21 +83,13 @@ class SpeechStream:
         self.fc2 = layers.Dense(cfg.speech_fc_units, cfg.speech_fc_units, activation="tanh", rng=rng)
 
     def parameters(self):
-        for name, p in self.conv_bank.parameters():
-            yield f"conv.{name}", p
-        for name, p in self.in_proj.parameters():
-            yield f"in_proj.{name}", p
-        for name, p in self.encoder.parameters():
-            yield f"encoder.{name}", p
-        for name, p in self.fc1.parameters():
-            yield f"fc1.{name}", p
-        for name, p in self.fc2.parameters():
-            yield f"fc2.{name}", p
+        return layers.named_parameters((("conv", self.conv_bank), ("in_proj", self.in_proj), ("encoder", self.encoder),
+                                        ("fc1", self.fc1), ("fc2", self.fc2)))
 
     def forward(self, mfcc: Tensor, lengths=None) -> Tensor:
         local = self.conv_bank.forward(mfcc, lengths)
         global_feats = self.encoder.forward(self.in_proj.forward(mfcc), lengths)
-        return self.fc2.forward(self.fc1.forward(ad.concat([local, global_feats], axis=1)))
+        return self.fc2.forward(self.fc1.forward(ad.concat([local, global_feats])))
 
 
 class PhonemeStream:
@@ -113,13 +105,8 @@ class PhonemeStream:
         self.fc2 = layers.Dense(h2, cfg.output_dim, rng=rng)
 
     def parameters(self):
-        for i, blstm in enumerate((self.blstm1, self.blstm2, self.blstm3), start=1):
-            for name, p in blstm.parameters():
-                yield f"blstm{i}.{name}", p
-        for name, p in self.fc1.parameters():
-            yield f"fc1.{name}", p
-        for name, p in self.fc2.parameters():
-            yield f"fc2.{name}", p
+        return layers.named_parameters((("blstm1", self.blstm1), ("blstm2", self.blstm2), ("blstm3", self.blstm3),
+                                        ("fc1", self.fc1), ("fc2", self.fc2)))
 
     def forward(self, phonemes: Tensor, lengths=None) -> Tensor:
         x = self.blstm3.forward(self.blstm2.forward(self.blstm1.forward(phonemes, lengths), lengths), lengths)
@@ -135,10 +122,7 @@ class SpeechFusion:
         self.fc = layers.Dense(2 * cfg.blstm_hidden, cfg.speech_fc_units, activation="tanh", rng=rng)
 
     def parameters(self):
-        for name, p in self.blstm.parameters():
-            yield f"blstm.{name}", p
-        for name, p in self.fc.parameters():
-            yield f"fc.{name}", p
+        return layers.named_parameters((("blstm", self.blstm), ("fc", self.fc)))
 
     def forward(self, speech: Tensor, lengths=None) -> Tensor:
         return self.fc.forward(self.blstm.forward(speech, lengths))
@@ -156,13 +140,10 @@ class InversionHead:
         self.fc = layers.Dense(2 * cfg.blstm_hidden, cfg.output_dim, rng=rng)
 
     def parameters(self):
-        for name, p in self.blstm.parameters():
-            yield f"blstm.{name}", p
-        for name, p in self.fc.parameters():
-            yield f"fc.{name}", p
+        return layers.named_parameters((("blstm", self.blstm), ("fc", self.fc)))
 
     def forward(self, fused: Tensor, phoneme_pred: Tensor | None, lengths=None) -> Tensor:
-        x = fused if phoneme_pred is None else ad.concat([fused, phoneme_pred], axis=1)
+        x = fused if phoneme_pred is None else ad.concat([fused, phoneme_pred])
         return self.fc.forward(self.blstm.forward(x, lengths))
 
 
@@ -191,17 +172,8 @@ class InversionModel:
         """Ordered name -> tensor map; names are partition-prefixed.  The
         tensor set is fixed at construction, so the walk is cached."""
         if self._params is None:
-            out = {}
-            for name, p in self.speech.parameters():
-                out[f"speech.{name}"] = p
-            for name, p in self.fusion.parameters():
-                out[f"fusion.{name}"] = p
-            if self.phoneme is not None:
-                for name, p in self.phoneme.parameters():
-                    out[f"phoneme.{name}"] = p
-            for name, p in self.head.parameters():
-                out[f"head.{name}"] = p
-            self._params = out
+            parts = (("speech", self.speech), ("fusion", self.fusion), ("phoneme", self.phoneme), ("head", self.head))
+            self._params = dict(layers.named_parameters(part for part in parts if part[1] is not None))
         return self._params
 
     @staticmethod
@@ -273,14 +245,6 @@ class InversionModel:
         self.target_std = arrays["stats.target_std"].copy()
 
 
-def l2_term(pred: Tensor, target: Tensor, lengths=None) -> Tensor:
-    """Per utterance, the mean over frames of the squared error summed over
-    channels, as a [utterances, 1] tensor (``lengths`` splits the frames,
-    one utterance by default).  A mean rather than a sum, so utterance
-    length does not rescale the step."""
-    return ad.tmean(ad.squared_error(pred, target), lengths)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Which inputs feed the network, which partitions train, and which loss
@@ -343,16 +307,17 @@ def scenario_loss(scenario: Scenario, inversion_pred, phoneme_pred, target: Tens
                   weights=(1.0, 1.0), reduction: str = "frame_mean", lengths=None) -> Tensor:
     """Per-utterance losses with only the scenario's terms included, as a
     [utterances, 1] tensor: one row per segment of ``lengths`` (a single
-    row by default).  Each term is an ``l2_term``, so ``reduction`` can
-    only be its 'frame_mean'; the keyword stays for callers that name it."""
+    row by default).  Each term is the per-utterance frame mean of
+    ``squared_error``, so ``reduction`` can only be 'frame_mean'; the
+    keyword stays for callers that name it."""
     if reduction != "frame_mean":
         raise ValueError(f"unknown reduction {reduction!r}")
     w_inv, w_phoneme = weights
     terms = []
     if "inversion" in scenario.loss_terms:
-        terms.append(ad.mul(l2_term(inversion_pred, target, lengths), w_inv))
+        terms.append(ad.mul(ad.squared_error(inversion_pred, target, lengths), w_inv))
     if "phoneme" in scenario.loss_terms:
-        terms.append(ad.mul(l2_term(phoneme_pred, target, lengths), w_phoneme))
+        terms.append(ad.mul(ad.squared_error(phoneme_pred, target, lengths), w_phoneme))
     loss = terms[0]
     for t in terms[1:]:
         loss = ad.add(loss, t)

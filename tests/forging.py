@@ -4,6 +4,7 @@ checks pass and only the schema checks stand between it and the model."""
 
 import hashlib
 import json
+import math
 import struct
 
 from artinv import dataio
@@ -22,3 +23,17 @@ def seal(header, data: bytes) -> bytes:
     header_bytes = json.dumps(header).encode()
     body = dataio.MAGIC + struct.pack("<HI", dataio.FORMAT_VERSION, len(header_bytes)) + header_bytes + data
     return body + hashlib.sha256(body).digest()
+
+
+def with_value(header, data: bytes, name: str, index: int, value: float) -> bytes:
+    """The array section ``data`` with flat element ``index`` of array
+    ``name`` set to ``value``."""
+    offset = 0
+    for entry in header["arrays"]:
+        if entry["name"] == name:
+            break
+        offset += math.prod(entry["shape"]) * 8
+    else:
+        raise KeyError(name)
+    offset += index * 8
+    return data[:offset] + struct.pack("<d", value) + data[offset + 8:]

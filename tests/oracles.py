@@ -122,11 +122,18 @@ def linear_oracle(x, w, b=None, activation=None):
     return out
 
 
-def squared_error_oracle(pred, target):
-    """Per frame, the sum over channels of the squared difference, [T, 1]."""
-    out = np.zeros((pred.shape[0], 1))
-    for t in range(pred.shape[0]):
-        out[t, 0] = sum((pred[t, c] - target[t, c]) ** 2 for c in range(pred.shape[1]))
+def squared_error_oracle(pred, target, lengths=None):
+    """Per segment of ``lengths`` (all frames by default), the mean over its
+    frames of the sum over channels of the squared difference, [segments, 1]."""
+    lengths = [pred.shape[0]] if lengths is None else lengths
+    out = np.zeros((len(lengths), 1))
+    start = 0
+    for s, n in enumerate(lengths):
+        total = 0.0
+        for t in range(start, start + n):
+            total += sum((pred[t, c] - target[t, c]) ** 2 for c in range(pred.shape[1]))
+        out[s, 0] = total / n
+        start += n
     return out
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from artinv import autodiff as ad
+from artinv import gradcheck
 from artinv.autodiff import Tensor
 from artinv.errors import NumericalError
 from oracles import attention_oracle, correlate_oracle, layer_norm_oracle, linear_oracle, squared_error_oracle
@@ -108,8 +109,26 @@ class TestForward:
             ad.mul(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
         with pytest.raises(ad.ShapeError, match=r"squared_error.*\(2, 3\).*\(2, 4\)"):
             ad.squared_error(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+        with pytest.raises(ad.ShapeError, match="squared_error: input has no frames"):
+            ad.squared_error(Tensor(np.zeros((0, 3))), Tensor(np.zeros((0, 3))))
+        with pytest.raises(ad.ShapeError, match="conv1d: input has no frames"):
+            ad.conv1d(Tensor(np.zeros((0, 2))), Tensor(np.zeros((1, 2, 3))))
         with pytest.raises(ad.ShapeError, match=r"layer_norm.*\(2, 3\).*\(4,\)"):
             ad.layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones(4)), Tensor(np.zeros(4)), 1e-5)
+        with pytest.raises(ad.ShapeError, match=r"concat.*\(2, 3\), \(3, 3\)"):
+            ad.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))])
+        with pytest.raises(ad.ShapeError, match=r"concat.*\(2, 3, 1\)"):  # joins [T, C] tensors only
+            ad.concat([Tensor(np.zeros((2, 3, 1))), Tensor(np.zeros((2, 3, 1)))])
+
+    @pytest.mark.parametrize("wh_shape", [(8,), (2, 8, 1), ()])
+    def test_lstm_wh_that_is_not_2d_is_a_shape_error(self, wh_shape):
+        """H is read from ``wh``'s rows, so ``wh`` must be [H, 4H]."""
+        x, wx, b = Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 8))), Tensor(np.zeros(8))
+        with pytest.raises(ad.ShapeError, match=r"lstm_sequence: expects .* wh \[H, 4H\], got \(3, 4\) and"):
+            ad.lstm_sequence(x, wx, Tensor(np.zeros(wh_shape)), b)
+        assert ad.lstm_sequence(x, wx, Tensor(np.zeros((2, 8))), b).data.shape == (3, 2)
+        with pytest.raises(ad.ShapeError, match=r"wx, wh and bias shapes .* are not \(4, 12\), \(3, 12\)"):
+            ad.lstm_sequence(x, wx, Tensor(np.zeros((3, 12))), b)
 
     def test_determinism_bitwise(self):
         def run():
@@ -335,38 +354,46 @@ class TestFused:
     def test_squared_error_vs_oracle(self):
         rng = np.random.default_rng(53)
         for _ in range(10):
-            pred, target = rng.normal(size=(2, int(rng.integers(1, 6)), int(rng.integers(1, 6))))
-            got = ad.squared_error(Tensor(pred), Tensor(target)).data
-            np.testing.assert_allclose(got, squared_error_oracle(pred, target), atol=1e-12, rtol=0)
+            lengths = tuple(int(n) for n in rng.integers(1, 5, size=int(rng.integers(1, 4))))
+            pred, target = rng.normal(size=(2, sum(lengths), int(rng.integers(1, 6))))
+            for lens in (None, lengths):
+                got = ad.squared_error(Tensor(pred), Tensor(target), lens).data
+                np.testing.assert_allclose(got, squared_error_oracle(pred, target, lens), atol=1e-12, rtol=0)
 
     def test_squared_error_gradients_of_every_operand(self):
         rng = np.random.default_rng(54)
-        operands = [rng.normal(size=(4, 3)), rng.normal(size=(4, 3))]
-        coeffs = rng.normal(size=(4, 1))
+        lengths = (1, 3, 2)
+        operands = [rng.normal(size=(6, 3)), rng.normal(size=(6, 3))]
+        coeffs = rng.normal(size=(3, 1))
         tensors = [Tensor(a.copy(), requires_grad=True) for a in operands]
 
         def build():
-            return ad.tsum(ad.mul(ad.squared_error(*tensors), Tensor(coeffs)))
+            return ad.tsum(ad.mul(ad.squared_error(*tensors, lengths), Tensor(coeffs)))
 
         assert ad.check_gradients(build, tensors, step=1e-6) < 1e-6  # leaves the analytic gradients
         for i, t in enumerate(tensors):
             def oracle_loss(a, i=i):
                 args = operands[:i] + [a] + operands[i + 1:]
-                return float((squared_error_oracle(*args) * coeffs).sum())
+                return float((squared_error_oracle(*args, lengths) * coeffs).sum())
 
             np.testing.assert_allclose(t.grad, central_diff(oracle_loss, operands[i].copy()), rtol=1e-6, atol=1e-8)
 
     def test_squared_error_replays_the_op_chain_bitwise(self):
-        """Output and gradients equal, bit for bit, a difference, a square and
-        a channel sum run as separate numpy ops with their adjoints in turn."""
+        """Output and gradients equal, bit for bit, a difference, a square, a
+        channel sum and a segment mean run as separate numpy ops with their
+        adjoints in turn."""
         rng = np.random.default_rng(55)
-        pred, target, g = rng.normal(size=(6, 12)), rng.normal(size=(6, 12)), rng.normal(size=(6, 1))
+        lens = np.array([2, 1, 3])
+        pred, target, g = rng.normal(size=(6, 12)), rng.normal(size=(6, 12)), rng.normal(size=(3, 1))
         tp, tt = Tensor(pred, requires_grad=True), Tensor(target, requires_grad=True)
-        y = ad.squared_error(tp, tt)
+        y = ad.squared_error(tp, tt, lens)
         ad.tsum(ad.mul(y, Tensor(g))).backward()
         d = pred - target
-        g_d = np.broadcast_to(g, d.shape).copy() * 2.0 * d
-        assert np.array_equal(y.data, (d * d).sum(axis=1, keepdims=True))
+        frame_errors = (d * d).sum(axis=1, keepdims=True)
+        counts = lens.reshape(-1, 1)
+        g_frames = np.repeat(g / counts, lens, axis=0)
+        g_d = np.broadcast_to(g_frames, d.shape).copy() * 2.0 * d
+        assert np.array_equal(y.data, np.add.reduceat(frame_errors, [0, 2, 3], axis=0) / counts)
         assert np.array_equal(tp.grad, g_d)
         assert np.array_equal(tt.grad, -g_d)
 
@@ -395,24 +422,28 @@ class TestPacked:
         coeffs = Tensor(rng.normal(size=(7, 2)))
         for reverse in (False, True):
             def build():
-                y = ad.lstm_sequence(x, wx, wh, b, 2, lengths=(3, 1, 3), reverse=reverse)
+                y = ad.lstm_sequence(x, wx, wh, b, lengths=(3, 1, 3), reverse=reverse)
                 return ad.tsum(ad.mul(y, coeffs))
 
             assert ad.check_gradients(build, [x, wx, wh, b], step=1e-6) < 1e-6
 
     def test_segment_mean_and_sum(self):
+        """Each segment's row is the channel-summed squared error averaged
+        over that segment's frames, and equals the node run on it alone."""
         rng = np.random.default_rng(43)
-        x = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
-        mean = ad.tmean(x, lengths=(1, 3, 2))
-        np.testing.assert_allclose(mean.data, [x.data[0], x.data[1:4].mean(0), x.data[4:].mean(0)],
+        pred, target = rng.normal(size=(2, 6, 2))
+        frame_errors = ((pred - target) ** 2).sum(axis=1)
+        got = ad.squared_error(Tensor(pred), Tensor(target), lengths=(1, 3, 2)).data[:, 0]
+        np.testing.assert_allclose(got, [frame_errors[0], frame_errors[1:4].mean(), frame_errors[4:].mean()],
                                    atol=1e-15, rtol=0)
-        coeffs = Tensor(rng.normal(size=(3, 2)))
-        assert ad.check_gradients(lambda: ad.tsum(ad.mul(ad.tmean(x, lengths=(1, 3, 2)), coeffs)), [x]) < 1e-7
+        for row, seg in zip(got, (slice(0, 1), slice(1, 4), slice(4, 6))):
+            assert row == ad.squared_error(Tensor(pred[seg]), Tensor(target[seg])).item()
 
     def test_non_finite_value_stays_in_its_segment(self):
-        x = np.arange(6.0).reshape(6, 1)
-        x[4, 0] = np.nan
-        np.testing.assert_array_equal(ad.tmean(Tensor(x), lengths=(4, 2)).data[:, 0], [1.5, np.nan])
+        pred = np.arange(6.0).reshape(6, 1)
+        pred[4, 0] = np.nan
+        got = ad.squared_error(Tensor(pred), Tensor(np.zeros((6, 1))), lengths=(4, 2)).data[:, 0]
+        np.testing.assert_array_equal(got, [3.5, np.nan])  # (0 + 1 + 4 + 9) / 4
 
     @pytest.mark.parametrize("lengths", [(2, 2), (0, 5), (6, -1), (2.5, 2.5)])
     def test_lengths_must_cover_the_frames(self, lengths):
@@ -420,7 +451,7 @@ class TestPacked:
         with pytest.raises(ad.ShapeError, match="segment lengths"):
             ad.attention(x, x, x, heads=2, lengths=lengths)
         with pytest.raises(ad.ShapeError, match="segment lengths"):
-            ad.tmean(x, lengths=lengths)
+            ad.squared_error(x, x, lengths=lengths)
 
 
 def test_backward_consumes_the_graph():
@@ -438,57 +469,12 @@ def test_backward_consumes_the_graph():
         assert node.grad is None and node._vjp is None and node._parents == ()
 
 
-LSTM_WEIGHTS = (Tensor(np.linspace(-1, 1, 32).reshape(4, 8)), Tensor(np.linspace(1, -0.5, 16).reshape(2, 8)),
-                Tensor(np.linspace(-0.3, 0.3, 8)))
-ATTENTION_V = Tensor(np.linspace(1, -1, 16).reshape(4, 4))
-
-
-def _weighted(op, x):
-    """Reduce an op output to a scalar with fixed weights so no gradient is
-    structurally zero (plain sums hide softmax/normalization errors)."""
-    y = op(x)
-    w = Tensor(np.linspace(0.5, 1.5, y.data.size).reshape(y.data.shape))
-    return ad.tsum(ad.mul(y, w))
-
-
-PRIMITIVES = {
-    "add": lambda x: ad.add(x, Tensor(np.linspace(-1, 1, x.data.size).reshape(x.data.shape))),
-    "mul": lambda x: ad.mul(x, Tensor(np.linspace(0.5, 2, x.data.size).reshape(x.data.shape))),
-    # linear's paths: x as the left operand of the product alone, as the
-    # right operand under tanh, and as a [4] bias broadcast over 3 frames
-    # (its gradient sums back over the rows)
-    "matmul": lambda x: ad.linear(x, Tensor(np.linspace(-1, 1, 12).reshape(4, 3))),
-    "tanh": lambda x: ad.linear(Tensor(np.linspace(-1, 1, 6).reshape(2, 3)), x, activation="tanh"),
-    "broadcast": lambda x: ad.linear(Tensor(np.linspace(-1, 1, 6).reshape(3, 2)),
-                                     Tensor(np.linspace(1, -1, 8).reshape(2, 4)), x, activation="tanh"),
-    # squared_error's operands: the prediction, squared, and the subtracted target
-    "square": lambda x: ad.squared_error(x, Tensor(np.linspace(-1, 1, x.data.size).reshape(x.data.shape))),
-    "sub": lambda x: ad.squared_error(Tensor(np.linspace(-1, 1, x.data.size).reshape(x.data.shape)), x),
-    "conv1d": lambda x: ad.conv1d(x, Tensor(np.linspace(-1, 1, 6).reshape(1, 2, 3)), Tensor(np.array([0.1]))),
-    "layer_norm": lambda x: ad.layer_norm(x, Tensor(np.linspace(0.5, 2, 4)), Tensor(np.linspace(-1, 1, 4)), 1e-5),
-    "concat": lambda x: ad.concat([x, ad.mul(x, x)], axis=-1),
-    "attention": lambda x: ad.attention(x, ad.mul(x, x), ad.linear(x, ATTENTION_V), heads=2),
-    # packed sequences: segments of 1 and 2 frames (2 and 3 for conv1d)
-    "attention_packed": lambda x: ad.attention(x, ad.mul(x, x), ad.linear(x, ATTENTION_V), heads=2, lengths=(1, 2)),
-    "conv1d_packed": lambda x: ad.conv1d(x, Tensor(np.linspace(-1, 1, 6).reshape(1, 2, 3)), Tensor(np.array([0.1])),
-                                         lengths=(2, 3)),
-    "lstm_sequence": lambda x: ad.lstm_sequence(x, *LSTM_WEIGHTS, hidden=2),
-    "lstm_sequence_packed": lambda x: ad.lstm_sequence(x, *LSTM_WEIGHTS, hidden=2, lengths=(1, 2)),
-    "lstm_sequence_packed_reverse": lambda x: ad.lstm_sequence(x, *LSTM_WEIGHTS, hidden=2, lengths=(2, 1),
-                                                               reverse=True),
-}
-
-
-@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+@pytest.mark.parametrize("name", sorted(gradcheck.PRIMITIVE_CASES))
 def test_primitive_gradients(name):
-    """Every primitive passes check_gradients at 10 random points (module invariant)."""
-    op = PRIMITIVES[name]
-    rng = np.random.default_rng(zlib.crc32(name.encode()))
-    shape = (5, 2) if name.startswith("conv1d") else (4,) if name == "broadcast" else (3, 4)
-    for _ in range(10):
-        x = Tensor(rng.normal(size=shape), requires_grad=True)
-        err = ad.check_gradients(lambda: _weighted(op, x), [x], step=1e-6)
-        assert err < 1e-5, f"{name}: relative error {err}"
+    """Every primitive case of ``artinv gradcheck`` passes check_gradients
+    at 10 random points (module invariant)."""
+    err = gradcheck.check_primitive(name, np.random.default_rng(zlib.crc32(name.encode())), points=10)
+    assert err < 1e-5, f"{name}: relative error {err}"
 
 
 def test_no_grad_suppresses_recording():

@@ -15,7 +15,7 @@ from artinv.cli import main
 from artinv.dataio import save_checkpoint
 from artinv.features import MfccConfig, feature_config_hash
 from artinv.model import InversionModel, ModelConfig
-from forging import seal, unseal
+from forging import seal, unseal, with_value
 
 TINY_SYNTH = ["--speakers", "2", "--utts", "2", "--dur_min", "3", "--dur_max", "5",
               "--phones_min", "1", "--phones_max", "2"]
@@ -171,8 +171,9 @@ class TestEval:
 
 
     def test_forged_checkpoints_are_data_errors(self, tmp_path, capsys):
-        """Sound containers with an unknown scenario, or without the target
-        std, exit 2 with a message instead of a traceback."""
+        """Sound containers with an unknown scenario, without the target
+        std, or with a non-finite parameter exit 2 with a message that names
+        the file, instead of a traceback or a report of NaN."""
         manifest = synth(tmp_path)
         runs = tmp_path / "runs"
         assert main(["train", "--manifest", str(manifest), "--scenario", "S3",
@@ -182,7 +183,11 @@ class TestEval:
         assert header["arrays"][-1]["name"] == "stats.target_std"
         no_target_std = {**header, "arrays": header["arrays"][:-1]}
         forged = {"unknown scenario 'S9'": seal(unknown_scenario, data),
-                  "no array 'stats.target_std'": seal(no_target_std, data[:-12 * 8])}
+                  "no array 'stats.target_std'": seal(no_target_std, data[:-12 * 8]),
+                  "array 'speech.conv.k1.weight' holds non-finite values":
+                      seal(header, with_value(header, data, "speech.conv.k1.weight", 0, float("nan"))),
+                  "array 'head.fc.bias' holds non-finite values":
+                      seal(header, with_value(header, data, "head.fc.bias", 3, float("inf")))}
         capsys.readouterr()
         for i, (message, raw) in enumerate(forged.items()):
             path = tmp_path / f"forged{i}.ckpt"
@@ -190,7 +195,8 @@ class TestEval:
             code = main(["eval", "--manifest", str(manifest), "--checkpoint", str(path),
                          "--out", str(tmp_path / "eval")])
             assert code == 2
-            assert message in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert message in err and str(path) in err
 
     def test_report_bytes_do_not_depend_on_copying_the_checkpoint(self, tmp_path, monkeypatch):
         """The loaded model computes on the checkpoint's read-only views; with
@@ -222,6 +228,16 @@ class TestLoso:
         grand_rows = [r for r in rows if r.startswith("grand")]
         assert len(fold_rows) == 3
         assert len(grand_rows) == 1
+
+    @pytest.mark.parametrize("command, jobs", [("loso", "0"), ("loso", "-5"), ("ablate", "-1"), ("ablate", "0")])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, command, jobs):
+        out = tmp_path / "runs"
+        scenario = ["--scenario", "S1"] if command == "loso" else []
+        code = main([command, "--manifest", str(synth(tmp_path)), *scenario, "--out", str(out), "--seed", "0",
+                     *FAST_TRAIN, "--jobs", jobs])
+        assert code == 1
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any run directory is made
 
     def test_single_speaker_degenerate(self, tmp_path, capsys):
         manifest = synth(tmp_path, extra=["--speakers", "1"])

@@ -21,7 +21,7 @@ from artinv.errors import DataError
 from artinv.features import MfccConfig, feature_config_hash
 from artinv.layers import uniform_init
 from artinv.model import InversionModel, ModelConfig
-from forging import seal, unseal
+from forging import seal, unseal, with_value
 
 SMALL = ModelConfig(
     conv_channels=2, kernel_sizes=(1, 3), attn_model_dim=8, attn_layers=1,
@@ -302,10 +302,12 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("forgery", ["missing stats", "missing parameter",
-                                         "misshapen stats", "misshapen parameter"])
+                                         "misshapen stats", "misshapen parameter",
+                                         "nan parameter", "inf stats"])
     def test_missing_or_misshapen_arrays_are_checkpoint_errors(self, tmp_path, forgery):
-        """A container that is sound but lacks, or misshapes, an array the
-        model holds loads, then fails to become a model with exit code 2."""
+        """A container that is sound but lacks, misshapes or holds a
+        non-finite value in an array the model holds loads, then fails to
+        become a model with exit code 2."""
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, self.make_model(), "h")
         header, data = unseal(path.read_bytes())
@@ -318,6 +320,12 @@ class TestCheckpoint:
         elif forgery == "missing parameter":
             expected = f"no array '{weight['name']}'"
             weight["name"] += ".renamed"
+        elif forgery == "nan parameter":
+            data = with_value(header, data, weight["name"], 5, np.nan)
+            expected = f"array '{weight['name']}' holds non-finite values"
+        elif forgery == "inf stats":
+            data = with_value(header, data, "stats.target_std", 11, -np.inf)
+            expected = "array 'stats.target_std' holds non-finite values"
         elif forgery == "misshapen stats":
             entries["stats.target_mean"]["shape"] = [3, 4]
             expected = r"'stats.target_mean' has shape \(3, 4\), the model needs \(12,\)"

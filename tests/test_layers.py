@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from artinv import autodiff as ad
+from artinv import gradcheck
 from artinv import layers
 from artinv.autodiff import ShapeError, Tensor
 from oracles import attention_oracle, conv_bank_oracle, lstm_oracle
@@ -366,38 +367,10 @@ class TestAdam:
         opt.update(p)  # the next step may update it again
 
 
-def _layer_cases():
-    rng = np.random.default_rng(20)
-    dense = layers.Dense(3, 2, activation="tanh", rng=rng)
-    conv = layers.Conv1DLayer(3, 2, 2, rng=rng)
-    bank = layers.ConvBank(2, 2, kernel_sizes=(1, 3), rng=rng)
-    norm = layers.LayerNorm(4)
-    mha = layers.MultiHeadAttention(8, heads=2, head_dim=4, rng=rng)
-    enc = layers.AttentionEncoder(8, layers=2, heads=2, head_dim=4, rng=rng)
-    blstm = layers.BLSTMLayer(3, hidden=2, rng=rng)
-    return [
-        ("dense", dense, (4, 3)),
-        ("conv", conv, (5, 2)),
-        ("bank", bank, (5, 2)),
-        ("norm", norm, (3, 4)),
-        ("mha", mha, (4, 8)),
-        ("encoder", enc, (3, 8)),
-        ("blstm", blstm, (4, 3)),
-    ]
-
-
-@pytest.mark.parametrize("name,layer,in_shape", _layer_cases(), ids=lambda v: v if isinstance(v, str) else "")
+@pytest.mark.parametrize("name,layer,in_shape", gradcheck.layer_cases(np.random.default_rng(20)),
+                         ids=lambda v: v if isinstance(v, str) else "")
 def test_layer_gradients(name, layer, in_shape):
     """All parameters and the input pass the finite-difference check at three
     random points (relative error < 1e-5)."""
-    rng = np.random.default_rng(21)
-    for _ in range(3):
-        x = Tensor(rng.normal(size=in_shape), requires_grad=True)
-        coeffs = rng.normal(size=layer.forward(x).data.shape)
-
-        def build():
-            return ad.tsum(ad.mul(layer.forward(x), Tensor(coeffs)))
-
-        tensors = [p for _, p in layer.parameters()] + [x]
-        err = ad.check_gradients(build, tensors, max_coords=20, rng=rng)
-        assert err < 1e-5, f"{name}: relative error {err}"
+    err = gradcheck.check_layer(layer, in_shape, np.random.default_rng(21))
+    assert err < gradcheck.LAYER_TOLERANCE, f"{name}: relative error {err}"

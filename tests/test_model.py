@@ -156,12 +156,12 @@ def test_gradcheck_primitive_suite_covers_the_tape(monkeypatch):
     assert recorded == primitives
 
 
-def test_full_size_s3_utterance_records_74_nodes():
-    """The per-utterance S3 loss of the full-size model is 74 tape nodes:
+def test_full_size_s3_utterance_records_72_nodes():
+    """The per-utterance S3 loss of the full-size model is 72 tape nodes:
     31 ``linear`` (6 attention layers of 4 projections, and 7 dense layers),
     10 LSTM directions, 8 concats (5 BLSTM layers, the conv bank, the
     speech-stream merge and the head's input), 7 residual and loss adds and
-    one node per term for each of the loss's 3 steps."""
+    per loss term a ``squared_error`` and its weight's ``mul``."""
     rng = np.random.default_rng(34)
     model = InversionModel(ModelConfig(), seed=35)
     apply_scenario(S3, model)
@@ -175,8 +175,8 @@ def test_full_size_s3_utterance_records_74_nodes():
             ops[node._op] = ops.get(node._op, 0) + 1
             stack.extend(node._parents)
     assert ops == {"linear": 31, "lstm_sequence": 10, "concat": 8, "add": 7, "attention": 6, "conv1d": 5,
-                   "layer_norm": 1, "squared_error": 2, "tmean": 2, "mul": 2}
-    assert sum(ops.values()) == 74
+                   "layer_norm": 1, "squared_error": 2, "mul": 2}
+    assert sum(ops.values()) == 72
 
 
 class TestJointLoss:
@@ -198,7 +198,7 @@ class TestJointLoss:
         rng = np.random.default_rng(1)
         a, b, t = (Tensor(rng.normal(size=(3, 12))) for _ in range(3))
         full = scenario_loss(S3, a, b, t, weights=(1.0, 0.0)).item()
-        single = mdl.l2_term(a, t).item()
+        single = ad.squared_error(a, t).item()
         assert full == single
 
     def test_nonnegative_and_zero_iff_equal(self):
@@ -218,7 +218,7 @@ class TestJointLoss:
     def test_frame_mean_reduction(self):
         target = np.zeros((4, 12))
         off = Tensor(target + 2.0)
-        got = mdl.l2_term(off, Tensor(target)).item()
+        got = ad.squared_error(off, Tensor(target)).item()
         assert got == 48.0  # per-frame 4*12 = 48, identical frames
         with pytest.raises(ValueError, match="reduction"):
             scenario_loss(S3, off, off, Tensor(target), reduction="sum")
