@@ -11,27 +11,37 @@ import os
 import sys
 
 
-def _pin_loaded_openblas() -> None:
-    """Set to 1 the thread count of the OpenBLAS that numpy has already
-    loaded, through the call its wheel exports (as threadpoolctl does); warn
-    when this numpy carries no such library."""
+def openblas_function(name: str):
+    """The ctypes function ``name`` exported by the scipy-openblas library
+    that the loaded numpy carries (as threadpoolctl finds it), or None when
+    there is no such library or export."""
     import ctypes
     import glob
-    import logging
 
     libs = os.path.join(os.path.dirname(sys.modules["numpy"].__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
         try:
-            set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+            return getattr(ctypes.CDLL(path), name)
         except (OSError, AttributeError):
             continue
-        set_threads.argtypes = [ctypes.c_int]
-        set_threads.restype = None
-        set_threads(1)
+    return None
+
+
+def _pin_loaded_openblas() -> None:
+    """Set to 1 the thread count of the OpenBLAS that numpy has already
+    loaded; warn when this numpy carries no such library."""
+    import ctypes
+    import logging
+
+    set_threads = openblas_function("scipy_openblas_set_num_threads64_")
+    if set_threads is None:
+        logging.getLogger(__name__).warning(
+            "numpy was imported before artinv and its OpenBLAS thread count could not be set; "
+            "set OPENBLAS_NUM_THREADS=1 before starting Python for byte-reproducible outputs")
         return
-    logging.getLogger(__name__).warning(
-        "numpy was imported before artinv and its OpenBLAS thread count could not be set; "
-        "set OPENBLAS_NUM_THREADS=1 before starting Python for byte-reproducible outputs")
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    set_threads(1)
 
 
 # OpenBLAS splits a GEMM across threads in a way that changes its sums'

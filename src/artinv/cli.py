@@ -14,14 +14,18 @@ different configurations never overwrite each other.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
 import logging
+import platform
 import sys
 from pathlib import Path
 
-from . import dataio, evaluation, gradcheck
+import numpy as np
+
+from . import dataio, evaluation, gradcheck, openblas_function
 from .errors import ArtinvError, UsageError
 from .features import MfccConfig, feature_config_hash
 from .model import InversionModel, ModelConfig, SCENARIOS, apply_scenario
@@ -137,15 +141,46 @@ def _resolved_config(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _environment() -> dict:
+    """What the output bytes rest on besides the configuration: the Python,
+    numpy and BLAS builds, OpenBLAS's core kernel and thread count (None
+    without numpy's scipy-openblas library), and the usable cores, which set
+    how many shares ``eval`` predicts in."""
+    def openblas(name, restype):
+        function = openblas_function(name)
+        if function is None:
+            return None
+        function.restype = restype
+        return function()
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    corename = openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+        "openblas_corename": corename.decode() if corename is not None else None,
+        "openblas_threads": openblas("scipy_openblas_get_num_threads64_", ctypes.c_int),
+        "usable_cores": evaluation.usable_cores(),
+    }
+
+
+def _write_json(path: Path, value: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(value, fh, sort_keys=True, indent=2, default=str)
+        fh.write("\n")
+
+
 def _run_dir(args, base) -> Path:
+    """The run directory, named by the hash of ``config.json``.
+    ``environment.json`` sits beside it, outside the hash."""
     config = {"command": args.command, **_resolved_config(args)}
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
     digest = hashlib.sha256(blob.encode()).hexdigest()[:12]
     run_dir = Path(base) / f"{args.command}-{digest}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    with open(run_dir / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(config, fh, sort_keys=True, indent=2, default=str)
-        fh.write("\n")
+    _write_json(run_dir / "config.json", config)
+    _write_json(run_dir / "environment.json", _environment())
     return run_dir
 
 
@@ -170,9 +205,7 @@ def cmd_synth(args) -> int:
         phones_range=(args.phones_min, args.phones_max),
     )
     manifest = dataio.generate_synthetic(spec, out)
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump({"command": "synth", **_resolved_config(args)}, fh, sort_keys=True, indent=2, default=str)
-        fh.write("\n")
+    _write_json(out / "config.json", {"command": "synth", **_resolved_config(args)})
     print(manifest)
     return 0
 

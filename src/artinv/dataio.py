@@ -107,6 +107,11 @@ def load_manifest(path, cfg: feat.MfccConfig | None = None) -> list[UtteranceSam
         if len(row) != len(MANIFEST_COLUMNS):
             raise DataError(f"{path}:{lineno}: malformed row, expected {len(MANIFEST_COLUMNS)} fields")
         utt_id, speaker_id, feat_rel, align_rel, ema_rel = row
+        # run directories name files by these ids (folds/<speaker>/.../<utterance>.csv)
+        for column, value in (("utterance_id", utt_id), ("speaker_id", speaker_id)):
+            if value in ("", ".", "..") or any(c in value for c in "/\\\0"):
+                raise DataError(f"{path}:{lineno}: {column} {value!r} cannot name a file: "
+                                "it is empty, '.' or '..', or holds '/', '\\' or NUL")
         if utt_id in seen:
             raise DataError(f"{path}:{lineno}: duplicate utterance_id {utt_id!r}")
         seen.add(utt_id)

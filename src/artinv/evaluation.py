@@ -12,10 +12,13 @@ on disk, so a report is reproducible from its run directory alone.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import logging
+import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -255,16 +258,76 @@ def _write_predictions(fold_dir: Path, stream: str, utterance_id: str, matrix: n
                      header=("frame",) + EMA_CHANNELS)
 
 
-def _predict_and_score(model: InversionModel, scenario, samples, fold_dir: Path, idx) -> dict:
-    """Predict each sample, write its target and scored-stream CSVs under
-    ``fold_dir``, and score each stream from those files; returns stream
-    name -> StreamScore."""
-    for sample in samples:
+def usable_cores() -> int:
+    """Cores this process may run on: how many shares ``artinv eval``
+    predicts in.  1 where processes cannot be forked, since a share worker
+    inherits the loaded model rather than unpickling it."""
+    if "fork" not in multiprocessing.get_all_start_methods() or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def frame_shares(frames, count: int) -> list[list[int]]:
+    """Split the indices of utterances with ``frames`` frames into ``count``
+    shares of near-equal frame totals: the longest utterance first (ties by
+    index), each to the share with the fewest frames so far (ties by share
+    index).  The totals then differ by at most the longest utterance.  Each
+    share lists its indices in ascending order."""
+    shares = [[] for _ in range(count)]
+    totals = [0] * count
+    for i in sorted(range(len(frames)), key=lambda i: (-frames[i], i)):
+        k = min(range(count), key=lambda k: (totals[k], k))
+        shares[k].append(i)
+        totals[k] += frames[i]
+    return [sorted(share) for share in shares]
+
+
+def _predict_share(model: InversionModel, scenario, samples, fold_dir: Path, indices) -> None:
+    """Predict the samples at ``indices`` and write their target and
+    scored-stream CSVs under ``fold_dir``."""
+    for i in indices:
+        sample = samples[i]
         preds = model.predict(sample.mfcc if scenario.use_mfcc else None,
                               sample.phonemes if scenario.use_phonemes else None)
         _write_predictions(fold_dir, "target", sample.utterance_id, sample.ema)
         for stream in scenario.scored_streams:
             _write_predictions(fold_dir, stream, sample.utterance_id, preds[stream])
+
+
+_worker_state = ()  # (model, scenario, samples, fold_dir), inherited by a forked share worker
+
+
+def _init_share_worker(*state) -> None:
+    global _worker_state
+    _worker_state = state
+
+
+def _predict_share_in_worker(indices) -> None:
+    _predict_share(*_worker_state, indices)
+
+
+def _predict_and_score(model: InversionModel, scenario, samples, fold_dir: Path, idx, shares: int) -> dict:
+    """Predict each sample, write its target and scored-stream CSVs under
+    ``fold_dir``, and score each stream from those files; returns stream
+    name -> StreamScore.
+
+    The samples are split into ``shares`` frame-balanced shares (at most one
+    per sample).  This process predicts share 0; each other share runs in a
+    worker forked from it, which inherits the model and samples instead of
+    unpickling them.  Every utterance's forward and files are the same
+    whichever process writes them, so the outputs do not depend on
+    ``shares``."""
+    plan = frame_shares([len(s.ema) for s in samples], max(1, min(shares, len(samples))))
+    state = (model, scenario, samples, fold_dir)
+    pool = contextlib.nullcontext()
+    if len(plan) > 1:
+        pool = ProcessPoolExecutor(len(plan) - 1, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_init_share_worker, initargs=state)
+    with pool:
+        futures = [pool.submit(_predict_share_in_worker, share) for share in plan[1:]]
+        _predict_share(*state, plan[0])
+        for future in futures:
+            future.result()
     ids = tuple(s.utterance_id for s in samples)
     return {stream: score_stream_dir(fold_dir, stream, ids, idx) for stream in scenario.scored_streams}
 
@@ -305,9 +368,10 @@ def run_fold(plan: FoldPlan, samples, scenario_id: str, hyper: Hyper, seed: int,
                     scenario=scenario_id, hyper=dataclasses.asdict(hyper), seed=seed)
     dataio.write_trace_csv(fold_dir / "trace.csv", result.trace)
 
+    # one share: the LOSO pool (--jobs) already spreads the folds over the cores
     idx, _ = channel_indices(channels)
     return FoldScore(index=plan.index, held_out_speaker=plan.held_out_speaker,
-                     streams=_predict_and_score(model, scenario, test_samples, fold_dir, idx))
+                     streams=_predict_and_score(model, scenario, test_samples, fold_dir, idx, shares=1))
 
 
 def _run_fold_job(args):
@@ -471,7 +535,8 @@ def read_report_csv(path) -> list[dict]:
 
 def evaluate_checkpoint(checkpoint_path, samples, out_dir, channels: str = "tongue",
                         feature_hash: str | None = None) -> EvalReport:
-    """Score one trained model on one manifest (no training, no folds)."""
+    """Score one trained model on one manifest (no training, no folds),
+    predicting in one frame-balanced share per usable core."""
     ckpt = load_checkpoint(checkpoint_path)
     if feature_hash is not None:
         dataio.require_compatible(ckpt, feature_hash, path=str(checkpoint_path))
@@ -482,7 +547,8 @@ def evaluate_checkpoint(checkpoint_path, samples, out_dir, channels: str = "tong
     fold_dir.mkdir(parents=True, exist_ok=True)
     idx, names = channel_indices(channels)
     fold_score = FoldScore(index=0, held_out_speaker="all",
-                           streams=_predict_and_score(model, scenario, samples, fold_dir, idx))
+                           streams=_predict_and_score(model, scenario, samples, fold_dir, idx,
+                                                      shares=usable_cores()))
     report = EvalReport(scenario=scenario.id, seed=ckpt.seed or 0, channel_names=names,
                         folds=[fold_score], grand=grand_scores([fold_score], scenario.scored_streams))
     write_report(report, out_dir)

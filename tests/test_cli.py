@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import csv
 import hashlib
+import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,8 +14,10 @@ from pathlib import Path
 import pytest
 
 import artinv
+from artinv import evaluation
 from artinv.cli import main
-from artinv.dataio import save_checkpoint
+from artinv.dataio import load_manifest, save_checkpoint
+from artinv.errors import DataError
 from artinv.features import MfccConfig, feature_config_hash
 from artinv.model import InversionModel, ModelConfig
 from forging import seal, unseal, with_value
@@ -20,6 +25,7 @@ from forging import seal, unseal, with_value
 TINY_SYNTH = ["--speakers", "2", "--utts", "2", "--dur_min", "3", "--dur_max", "5",
               "--phones_min", "1", "--phones_max", "2"]
 FAST_TRAIN = ["--epochs", "1", "--batch_size", "2"]
+SMALL = ModelConfig(attn_model_dim=8, attn_layers=1, attn_heads=2, attn_head_dim=4)
 
 
 def tree_digest(root: Path) -> str:
@@ -215,6 +221,78 @@ class TestEval:
             reports.append((next(out.glob("eval-*")) / "report.csv").read_bytes())
         assert reports[0] == reports[1]
 
+    def test_environment_is_recorded_outside_the_config_and_the_report(self, tmp_path):
+        manifest = synth(tmp_path)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, InversionModel(SMALL, seed=1), feature_config_hash(MfccConfig()))
+        out = tmp_path / "eval"
+        assert main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt), "--out", str(out)]) == 0
+        run_dir = next(out.glob("eval-*"))
+        environment = json.loads((run_dir / "environment.json").read_text())
+        assert set(environment) == {"python", "numpy", "blas", "openblas_corename", "openblas_threads",
+                                    "usable_cores"}
+        assert environment["usable_cores"] == evaluation.usable_cores() >= 1
+        if environment["openblas_threads"] is not None:
+            assert environment["openblas_threads"] == 1 and environment["openblas_corename"]
+        assert not set(environment) & set(json.loads((run_dir / "config.json").read_text()))
+        direct = tmp_path / "direct"
+        evaluation.evaluate_checkpoint(ckpt, load_manifest(manifest), direct,
+                                       feature_hash=feature_config_hash(MfccConfig()))
+        assert (run_dir / "report.csv").read_bytes() == (direct / "report.csv").read_bytes()
+
+    def test_no_share_worker_outlives_the_command(self, tmp_path, monkeypatch, capsys):
+        """Three shares on any machine: the two forked workers are gone when
+        eval returns, and when a worker's error ends it with exit 2."""
+        manifest = synth(tmp_path)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, InversionModel(SMALL, seed=1), feature_config_hash(MfccConfig()))
+        monkeypatch.setattr(evaluation, "usable_cores", lambda: 3)
+        argv = ["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt)]
+        assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
+        assert multiprocessing.active_children() == []
+
+        caller = os.getpid()
+        predict = InversionModel.predict
+
+        def fails_in_workers(self, mfcc, phonemes):
+            if os.getpid() != caller:
+                raise DataError("predict failed in a share worker")
+            return predict(self, mfcc, phonemes)
+
+        monkeypatch.setattr(InversionModel, "predict", fails_in_workers)
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "failed")]) == 2
+        assert "predict failed in a share worker" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+
+def files_under(root: Path) -> dict:
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize("column", ["utterance_id", "speaker_id"])
+@pytest.mark.parametrize("value", ["s01/u001", "../../../escaped", "a\\b", "a\0b", "", ".", ".."],
+                         ids=["slash", "parent_escape", "backslash", "nul", "empty", "dot", "dotdot"])
+def test_id_that_cannot_name_a_file_is_data_error(tmp_path, capsys, column, value):
+    """Run directories name files by utterance and speaker ids; an id that
+    is no plain file name fails at load (exit 2), before anything is written."""
+    manifest = synth(tmp_path / "corpus")
+    with open(manifest, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[0][column] = value
+    with open(manifest, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, InversionModel(SMALL), feature_config_hash(MfccConfig()))
+    before = files_under(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "work" / "out"
+    assert main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+    assert f"{manifest}:2: {column} {value!r} cannot name a file" in capsys.readouterr().err
+    assert files_under(tmp_path) == before
+
 
 class TestLoso:
     def test_structure_and_exit(self, tmp_path):
@@ -290,8 +368,7 @@ def test_run_dir_named_by_config_hash(tmp_path):
 def test_bad_feature_flag_is_usage_error(tmp_path, capsys, command, flag, value, message):
     manifest = synth(tmp_path)
     ckpt = tmp_path / "model.ckpt"
-    save_checkpoint(ckpt, InversionModel(ModelConfig(attn_model_dim=8, attn_layers=1, attn_heads=2, attn_head_dim=4)),
-                    feature_config_hash(MfccConfig()))
+    save_checkpoint(ckpt, InversionModel(SMALL), feature_config_hash(MfccConfig()))
     extra = {"train": ["--scenario", "S3", "--seed", "1", *FAST_TRAIN],
              "loso": ["--scenario", "S1", "--seed", "1", *FAST_TRAIN],
              "eval": ["--checkpoint", str(ckpt)]}[command]

@@ -1,16 +1,20 @@
 """Metrics, fold planning, the LOSO protocol, and report reproducibility."""
 
+import hashlib
+import multiprocessing
+import os
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from artinv import evaluation as ev
-from artinv.dataio import SyntheticSpec, generate_synthetic, load_checkpoint, load_manifest
+from artinv.dataio import SyntheticSpec, generate_synthetic, load_checkpoint, load_manifest, save_checkpoint
 from artinv.errors import DataError
 from artinv.evaluation import make_fold_plans, pcc, rmse, run_ablation, run_loso
 from artinv.features import MfccConfig, feature_config_hash
-from artinv.model import ModelConfig
+from artinv.model import InversionModel, ModelConfig, SCENARIOS
 from artinv.training import Hyper
 from oracles import rmse_oracle
 
@@ -249,3 +253,81 @@ def test_no_training_thread_is_alive_when_the_fold_pool_forks(tmp_path, monkeypa
     monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingPool)
     run_loso(samples, "S1", hyper, seed=21, out_dir=tmp_path / "par", model_config=TINY, jobs=2)
     assert at_fork == [before]
+
+
+class TestShares:
+    @given(st.lists(st.integers(1, 400), min_size=1, max_size=30), st.integers(1, 6))
+    def test_cover_every_index_once_with_balanced_frames(self, frames, count):
+        shares = ev.frame_shares(frames, count)
+        assert shares == ev.frame_shares(list(frames), count)
+        assert len(shares) == count
+        assert sorted(i for share in shares for i in share) == list(range(len(frames)))
+        assert all(share == sorted(share) for share in shares)
+        totals = [sum(frames[i] for i in share) for share in shares]
+        assert max(totals) - min(totals) <= max(frames)
+
+    def test_longest_first_to_the_lightest_share(self):
+        # 75 -> 0, 75 -> 1, then 55 and 55, 35 and 35 alternate, ties by index
+        assert ev.frame_shares([15, 35, 55, 75, 15, 35, 55, 75], 2) == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        assert ev.frame_shares([5, 5, 5], 2) == [[0, 2], [1]]
+
+    def test_outputs_do_not_depend_on_the_share_count(self, tmp_path):
+        """Shares 1.. run in forked workers; every prediction CSV and every
+        score is the same as with one share."""
+        samples = corpus(tmp_path, speakers=2, utts=3, seed=22)
+        model = InversionModel(TINY, seed=23)
+        idx, _ = ev.channel_indices("tongue")
+        digests, scores = [], []
+        for shares in (1, 2, 3):
+            fold_dir = tmp_path / f"shares-{shares}"
+            scores.append(ev._predict_and_score(model, SCENARIOS["S3"], samples, fold_dir, idx, shares=shares))
+            files = sorted(fold_dir.rglob("*.csv"))
+            assert len(files) == 3 * len(samples)
+            acc = hashlib.sha256()
+            for path in files:
+                acc.update(str(path.relative_to(fold_dir)).encode() + path.read_bytes())
+            digests.append(acc.hexdigest())
+        assert digests[1] == digests[0] and digests[2] == digests[0]
+        for other in scores[1:]:
+            for stream, score in scores[0].items():
+                assert other[stream].rmse_mean == score.rmse_mean and other[stream].pcc_mean == score.pcc_mean
+                np.testing.assert_array_equal(other[stream].rmse_channels, score.rmse_channels)
+                np.testing.assert_array_equal(other[stream].pcc_channels, score.pcc_channels)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reaches_the_caller(self, tmp_path, monkeypatch):
+        samples = corpus(tmp_path, speakers=2, utts=2, seed=24)
+        caller = os.getpid()
+        predict = InversionModel.predict
+
+        def fails_in_workers(self, mfcc, phonemes):
+            if os.getpid() != caller:
+                raise DataError(f"predict failed in process {os.getpid()}")
+            return predict(self, mfcc, phonemes)
+
+        monkeypatch.setattr(InversionModel, "predict", fails_in_workers)
+        idx, _ = ev.channel_indices("tongue")
+        with pytest.raises(DataError, match=r"predict failed in process \d+") as exc:
+            ev._predict_and_score(InversionModel(TINY, seed=25), SCENARIOS["S3"], samples,
+                                  tmp_path / "fold", idx, shares=2)
+        assert str(caller) not in str(exc.value)
+        assert multiprocessing.active_children() == []
+
+    def test_no_thread_is_alive_when_eval_forks_its_share_workers(self, tmp_path, monkeypatch):
+        """A forked child holds only the forking thread, so the checkpoint
+        load and the share split must start none before the pool forks."""
+        samples = corpus(tmp_path, speakers=2, utts=2, seed=26)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, InversionModel(TINY, seed=27), "")
+        monkeypatch.setattr(ev, "usable_cores", lambda: 2)
+        at_fork = []
+
+        class RecordingPool(ev.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                at_fork.append(set(threading.enumerate()))  # the first submit forks
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingPool)
+        before = set(threading.enumerate())
+        ev.evaluate_checkpoint(ckpt, samples, tmp_path / "eval")
+        assert at_fork == [before]
