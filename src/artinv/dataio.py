@@ -62,36 +62,13 @@ def write_trace_csv(path, trace) -> None:
             writer.writerow((epoch, format_float(train_loss), format_float(val_loss)))
 
 
-def read_matrix_csv(path, expect_columns: int | None = None, has_header: bool = False) -> np.ndarray:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if has_header:
-            next(reader, None)
-        for lineno, row in enumerate(reader, start=2 if has_header else 1):
-            if expect_columns is not None and len(row) != expect_columns:
-                raise DataError(f"{path}:{lineno}: expected {expect_columns} columns, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric value") from None
-    if not rows:
-        raise DataError(f"{path}: empty matrix")
-    return np.array(rows)
-
-
 # -- manifest loading --------------------------------------------------------
 
 def load_manifest(path, cfg: feat.MfccConfig | None = None) -> list[UtteranceSample]:
     """Load every utterance the manifest references, with all three feature
     streams aligned to a shared frame count.  Errors name the utterance."""
     cfg = cfg or feat.MfccConfig()
-    manifest_path = Path(path)
-    if not manifest_path.exists():
-        raise DataError(f"manifest not found: {path}")
-    base = manifest_path.parent
-
-    with open(manifest_path, newline="", encoding="utf-8") as fh:
+    with feat.open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != MANIFEST_COLUMNS:
@@ -101,6 +78,7 @@ def load_manifest(path, cfg: feat.MfccConfig | None = None) -> list[UtteranceSam
     if not rows:
         raise DataError(f"{path}: no utterances")
 
+    base = Path(path).parent
     samples = []
     seen = set()
     for lineno, row in enumerate(rows, start=2):
@@ -115,9 +93,6 @@ def load_manifest(path, cfg: feat.MfccConfig | None = None) -> list[UtteranceSam
         if utt_id in seen:
             raise DataError(f"{path}:{lineno}: duplicate utterance_id {utt_id!r}")
         seen.add(utt_id)
-        for rel in (feat_rel, align_rel, ema_rel):
-            if not (base / rel).exists():
-                raise DataError(f"utterance {utt_id!r}: missing file {base / rel}")
         try:
             samples.append(_load_utterance(utt_id, speaker_id, base, feat_rel, align_rel, ema_rel, cfg))
         except DataError as exc:
@@ -133,7 +108,7 @@ def _load_utterance(utt_id, speaker_id, base: Path, feat_rel, align_rel, ema_rel
         mfcc = feat.compute_mfcc(audio, rate, cfg)
         hop_s = cfg.hop_seconds(rate)
     else:
-        mfcc = read_matrix_csv(feat_path, expect_columns=cfg.feature_dim)
+        mfcc = feat.read_matrix_csv(feat_path, cfg.feature_dim)
         hop_s = cfg.hop_seconds()
     bad = np.flatnonzero(~np.isfinite(mfcc).all(axis=1))
     if bad.size:
@@ -369,8 +344,8 @@ def _read_aligned(path, head_len: int) -> memoryview:
             fh.seek(0)
             if fh.readinto(raw) != size:
                 raise CheckpointTruncatedError(f"{path}: file changed while it was read")
-    except FileNotFoundError:
-        raise CheckpointError(f"checkpoint not found: {path}") from None
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from None
     return raw
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import dataio
 from .dataio import load_checkpoint, save_checkpoint, write_matrix_csv
 from .errors import DataError, NumericalError, UsageError
-from .features import EMA_CHANNELS, TONGUE_CHANNELS
+from .features import EMA_CHANNELS, TONGUE_CHANNELS, read_matrix_csv
 from .model import (
     InversionModel, ModelConfig, SCENARIOS, VARIANT_SPEECH_ONLY, apply_scenario,
 )
@@ -176,59 +176,55 @@ def channel_indices(channels: str):
     return tuple(EMA_CHANNELS.index(n) for n in names), tuple(names)
 
 
-def score_utterance(pred: np.ndarray, target: np.ndarray, idx):
-    pred = pred[:, idx]
-    target = target[:, idx]
+def score_utterance(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """One utterance's scores as a row: the channel means of RMSE and of PCC
+    (zero-variance channels left out), then RMSE and PCC per channel."""
     rmse_ch = rmse(pred, target)
     pcc_ch = pcc(pred, target)
     if np.any(np.isnan(pcc_ch)):
         log.warning("excluding %d zero-variance channel(s) from PCC", int(np.isnan(pcc_ch).sum()))
-    pcc_mean = float(np.nanmean(pcc_ch)) if not np.all(np.isnan(pcc_ch)) else float("nan")
-    return rmse_ch, pcc_ch, float(rmse_ch.mean()), pcc_mean, pred.shape[0]
+    pcc_mean = np.nanmean(pcc_ch) if not np.all(np.isnan(pcc_ch)) else np.nan
+    return np.concatenate([[rmse_ch.mean(), pcc_mean], rmse_ch, pcc_ch])
 
 
-def score_stream_dir(fold_dir: Path, stream: str, utterance_ids, idx) -> StreamScore:
-    """Aggregate one stream of one fold by re-reading the persisted
-    prediction and target CSVs (frame-weighted over utterances)."""
-    weights, rmse_means, pcc_means = [], [], []
-    rmse_rows, pcc_rows = [], []
+def nan_weighted_mean(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Column by column, the ``weights``-weighted mean of the rows of
+    ``values`` that are not NaN there; NaN for a column of NaN only."""
+    out = np.full(values.shape[1], np.nan)
+    for c in range(values.shape[1]):
+        keep = ~np.isnan(values[:, c])
+        if keep.any():
+            out[c] = np.sum(values[keep, c] * weights[keep]) / np.sum(weights[keep])
+    return out
+
+
+def score_stream_dir(fold_dir: Path, streams, utterance_ids, idx) -> dict:
+    """Score each of ``streams`` of one fold by re-reading the persisted
+    prediction and target CSVs, frame-weighted over utterances; returns
+    stream name -> StreamScore.  Each target file is read once."""
+    header = ("frame",) + EMA_CHANNELS
+    columns = [1 + c for c in idx]  # column 0 is the frame index
+    frames, rows = [], {stream: [] for stream in streams}
     for utt in utterance_ids:
-        pred = dataio.read_matrix_csv(fold_dir / "predictions" / stream / f"{utt}.csv",
-                                      expect_columns=1 + len(EMA_CHANNELS), has_header=True)[:, 1:]
-        target = dataio.read_matrix_csv(fold_dir / "predictions" / "target" / f"{utt}.csv",
-                                        expect_columns=1 + len(EMA_CHANNELS), has_header=True)[:, 1:]
-        rmse_ch, pcc_ch, rmse_mean, pcc_mean, frames = score_utterance(pred, target, list(idx))
-        weights.append(frames)
-        rmse_means.append(rmse_mean)
-        pcc_means.append(pcc_mean)
-        rmse_rows.append(rmse_ch)
-        pcc_rows.append(pcc_ch)
-
-    w = np.array(weights, dtype=np.float64)
-    rmse_rows = np.array(rmse_rows)
-    pcc_rows = np.array(pcc_rows)
-
-    def weighted(values, cols=False):
-        values = np.asarray(values, dtype=np.float64)
-        if not cols:
-            mask = ~np.isnan(values)
-            return float(np.sum(values[mask] * w[mask]) / np.sum(w[mask])) if mask.any() else float("nan")
-        out = np.empty(values.shape[1])
-        for c in range(values.shape[1]):
-            col = values[:, c]
-            mask = ~np.isnan(col)
-            out[c] = np.sum(col[mask] * w[mask]) / np.sum(w[mask]) if mask.any() else np.nan
-        return out
-
-    return StreamScore(
-        stream=stream,
-        n_utterances=len(utterance_ids),
-        n_frames=int(w.sum()),
-        rmse_mean=weighted(rmse_means),
-        pcc_mean=weighted(pcc_means),
-        rmse_channels=weighted(rmse_rows, cols=True),
-        pcc_channels=weighted(pcc_rows, cols=True),
-    )
+        target = read_matrix_csv(fold_dir / "predictions" / "target" / f"{utt}.csv", header)[:, columns]
+        frames.append(target.shape[0])
+        for stream in streams:
+            pred = read_matrix_csv(fold_dir / "predictions" / stream / f"{utt}.csv", header)[:, columns]
+            rows[stream].append(score_utterance(pred, target))
+    w = np.array(frames, dtype=np.float64)
+    scores = {}
+    for stream in streams:
+        means = nan_weighted_mean(np.array(rows[stream]), w)
+        scores[stream] = StreamScore(
+            stream=stream,
+            n_utterances=len(utterance_ids),
+            n_frames=int(w.sum()),
+            rmse_mean=float(means[0]),
+            pcc_mean=float(means[1]),
+            rmse_channels=means[2:2 + len(columns)],
+            pcc_channels=means[2 + len(columns):],
+        )
+    return scores
 
 
 def grand_scores(folds: list, streams) -> dict:
@@ -328,8 +324,7 @@ def _predict_and_score(model: InversionModel, scenario, samples, fold_dir: Path,
         _predict_share(*state, plan[0])
         for future in futures:
             future.result()
-    ids = tuple(s.utterance_id for s in samples)
-    return {stream: score_stream_dir(fold_dir, stream, ids, idx) for stream in scenario.scored_streams}
+    return score_stream_dir(fold_dir, scenario.scored_streams, [s.utterance_id for s in samples], idx)
 
 
 def run_fold(plan: FoldPlan, samples, scenario_id: str, hyper: Hyper, seed: int,

@@ -9,6 +9,7 @@ resampled to acoustic frame centers.  Frame i is centered at
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -273,6 +274,47 @@ def compute_mfcc(samples: np.ndarray, rate: int, cfg: MfccConfig | None = None) 
     return mean_variance_normalize(np.concatenate([base, d1, d2], axis=1))
 
 
+# -- text files --------------------------------------------------------------
+
+@contextlib.contextmanager
+def open_text(path):
+    """Open ``path`` as UTF-8 text with ``newline=""``.  A file that is
+    missing, unreadable (a directory, say) or not UTF-8 is a DataError
+    naming it."""
+    try:
+        fh = open(path, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
+
+
+def read_matrix_csv(path, columns: int | tuple[str, ...]) -> np.ndarray:
+    """The rows of a numeric CSV file as a float64 matrix.  ``columns`` is
+    either the column count of a file without a header, or the header
+    names the file's first row must hold; every row has as many values."""
+    header = columns if isinstance(columns, tuple) else None
+    width = columns if header is None else len(header)
+    rows = []
+    with open_text(path) as fh:
+        reader = csv.reader(fh)
+        if header is not None and tuple(next(reader, ())) != header:
+            raise DataError(f"{path}: header must be {','.join(header)}")
+        for lineno, row in enumerate(reader, start=1 if header is None else 2):
+            if len(row) != width:
+                raise DataError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-numeric value") from None
+    if not rows:
+        raise DataError(f"{path}: no rows")
+    return np.array(rows)
+
+
 # -- phoneme alignment ------------------------------------------------------
 
 class AlignmentEntry(NamedTuple):
@@ -282,36 +324,27 @@ class AlignmentEntry(NamedTuple):
 
 
 def read_alignment(path) -> list[AlignmentEntry]:
-    """Parse the tab-separated interval format: ``start_s<TAB>end_s<TAB>LABEL``."""
+    """Parse the tab-separated interval format ``start_s<TAB>end_s<TAB>LABEL``;
+    the intervals must be sorted and must not overlap."""
     entries = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise DataError(f"{path}:{lineno}: expected 'start<TAB>end<TAB>label', got {line!r}")
-                try:
-                    start, end = float(parts[0]), float(parts[1])
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: non-numeric interval bounds in {line!r}") from None
-                entries.append(AlignmentEntry(start, end, parts[2]))
-    except FileNotFoundError:
-        raise DataError(f"alignment file not found: {path}") from None
-    _validate_alignment(entries, path)
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\r\n")
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise DataError(f"{path}:{lineno}: expected 'start<TAB>end<TAB>label', got {line!r}")
+            try:
+                start, end = float(parts[0]), float(parts[1])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-numeric interval bounds in {line!r}") from None
+            if not 0.0 <= start < end:
+                raise DataError(f"{path}: invalid interval [{start}, {end}) for label {parts[2]!r}")
+            if entries and start < entries[-1].end:
+                raise DataError(f"{path}: overlapping or unsorted entries near {start}")
+            entries.append(AlignmentEntry(start, end, parts[2]))
     return entries
-
-
-def _validate_alignment(entries, origin="alignment"):
-    prev_end = -np.inf
-    for e in entries:
-        if not (0.0 <= e.start < e.end):
-            raise DataError(f"{origin}: invalid interval [{e.start}, {e.end}) for label {e.label!r}")
-        if e.start < prev_end:
-            raise DataError(f"{origin}: overlapping or unsorted entries near {e.start}")
-        prev_end = e.end
 
 
 def normalize_label(label: str) -> int | None:
@@ -333,22 +366,24 @@ def normalize_label(label: str) -> int | None:
 
 def encode_phonemes(entries: list[AlignmentEntry], frame_count: int, hop_s: float) -> np.ndarray:
     """One-hot matrix [frame_count, 39]; frame i takes the entry covering its
-    center time (i + 0.5) * hop, and silence or uncovered frames stay zero."""
-    _validate_alignment(entries)
+    center time (i + 0.5) * hop, and silence or uncovered frames stay zero.
+    ``entries`` are sorted and disjoint, as ``read_alignment`` returns them."""
     out = np.zeros((frame_count, len(ARPABET_39)))
     if not entries:
         return out
-    starts = np.array([e.start for e in entries])
-    for i in range(frame_count):
-        center = (i + 0.5) * hop_s
-        j = int(np.searchsorted(starts, center, side="right")) - 1
-        if j < 0:
-            continue
-        entry = entries[j]
-        if entry.start <= center < entry.end:
-            idx = normalize_label(entry.label)
-            if idx is not None:
-                out[i, idx] = 1.0
+    centers = (np.arange(frame_count) + 0.5) * hop_s
+    entry = np.searchsorted(np.array([e.start for e in entries]), centers, side="right") - 1
+    ends = np.array([e.end for e in entries])
+    frames = np.flatnonzero((entry >= 0) & (centers < ends[entry]))
+    codes = {}  # label -> inventory index or None: each label is normalized once
+    column = np.full(len(entries), -1)
+    for e in np.unique(entry[frames]):  # in time order, so the first unknown label hit is named
+        label = entries[e].label
+        if label not in codes:
+            codes[label] = normalize_label(label)
+        column[e] = -1 if codes[label] is None else codes[label]
+    frames = frames[column[entry[frames]] >= 0]
+    out[frames, column[entry[frames]]] = 1.0
     return out
 
 
@@ -372,27 +407,11 @@ class EmaTrack:
 
 
 def read_ema_csv(path) -> EmaTrack:
-    expected = ("time_s",) + EMA_CHANNELS
+    data = read_matrix_csv(path, ("time_s",) + EMA_CHANNELS)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header) != expected:
-                raise DataError(f"{path}: header must be {','.join(expected)}")
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(expected):
-                    raise DataError(f"{path}:{lineno}: expected {len(expected)} columns, got {len(row)}")
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: non-numeric value") from None
-    except FileNotFoundError:
-        raise DataError(f"EMA file not found: {path}") from None
-    if not rows:
-        raise DataError(f"{path}: no samples")
-    data = np.array(rows)
-    return EmaTrack(times=data[:, 0], values=data[:, 1:])
+        return EmaTrack(times=data[:, 0], values=data[:, 1:])
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def align_ema(track: EmaTrack, frame_count: int, hop_s: float, slack_s: float = 0.05) -> np.ndarray:

@@ -129,17 +129,13 @@ class MultiHeadAttention:
         yield "wv", self.wv
         yield "wo", self.wo
 
-    def forward(self, x: Tensor, lengths=None, return_weights: bool = False):
+    def forward(self, x: Tensor, lengths=None) -> Tensor:
         """Attention within each of the ``lengths`` segments of ``x`` (one
-        segment by default); ``return_weights`` also returns each head's
-        [T, T] weights of a one-segment input."""
+        segment by default)."""
         if x.data.shape[-1] != self.model_dim:
             raise ShapeError(f"attention: expected feature dim {self.model_dim}, got {x.data.shape[-1]}")
         q, k, v = (ad.linear(x, w) for w in (self.wq, self.wk, self.wv))
-        out = ad.add(x, ad.linear(ad.attention(q, k, v, self.heads, lengths), self.wo))
-        if return_weights:
-            return out, [Tensor(w) for w in ad._attention_weights(q.data, k.data, self.heads)]
-        return out
+        return ad.add(x, ad.linear(ad.attention(q, k, v, self.heads, lengths), self.wo))
 
 
 class AttentionEncoder:

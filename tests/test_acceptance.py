@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from artinv import gradcheck
-from artinv.autodiff import Tensor
+from artinv.autodiff import Tensor, _attention_weights
 from artinv.dataio import (
     SyntheticSpec, UtteranceSample, generate_synthetic, load_checkpoint,
     load_manifest, save_checkpoint, write_matrix_csv,
@@ -95,13 +95,13 @@ def test_criterion_2_oracle_equivalence():
 def test_criterion_3_conservation_normalization():
     rng = np.random.default_rng(3)
     encoder = AttentionEncoder(512, layers=6, heads=8, head_dim=64, rng=rng)
-    x = Tensor(rng.normal(size=(7, 512)))
+    x = rng.normal(size=(7, 512))
     worst_row = 0.0
     for layer in encoder.layers:
-        x, weights = layer.forward(x, return_weights=True)
-        for w in weights:
-            worst_row = max(worst_row, float(np.max(np.abs(w.data.sum(axis=1) - 1.0))))
-            assert np.all(w.data >= 0)
+        for w in _attention_weights(x @ layer.wq.data, x @ layer.wk.data, layer.heads):
+            worst_row = max(worst_row, float(np.max(np.abs(w.sum(axis=1) - 1.0))))
+            assert np.all(w >= 0)
+        x = layer.forward(Tensor(x)).data
 
     # output variance is v/(v+eps); the 1e-6 band needs non-degenerate input
     # with variance well above eps*1e6

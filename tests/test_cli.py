@@ -11,6 +11,7 @@ import types
 import wave
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import artinv
@@ -292,6 +293,78 @@ def test_id_that_cannot_name_a_file_is_data_error(tmp_path, capsys, column, valu
     assert main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt), "--out", str(out)]) == 2
     assert f"{manifest}:2: {column} {value!r} cannot name a file" in capsys.readouterr().err
     assert files_under(tmp_path) == before
+
+
+@pytest.mark.parametrize("fault", ["missing", "directory", "not_utf8"])
+@pytest.mark.parametrize("kind", ["manifest", "mfcc.csv", "align.txt", "ema.csv"])
+def test_unreadable_input_is_data_error(tmp_path, capsys, kind, fault):
+    """A manifest, MFCC CSV, alignment or EMA file that is missing, a
+    directory or not UTF-8 fails at load (exit 2) with a message naming the
+    file and its utterance, before any run directory is made."""
+    manifest = synth(tmp_path)
+    path = manifest if kind == "manifest" else manifest.parent / "s01" / f"s01_u001.{kind}"
+    if fault == "not_utf8":
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+    else:
+        path.unlink()
+        if fault == "directory":
+            path.mkdir()
+    out = tmp_path / "runs"
+    capsys.readouterr()
+    assert main(["train", "--manifest", str(manifest), "--scenario", "S3", "--out", str(out),
+                 "--seed", "0", *FAST_TRAIN]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("artinv: error: ") and str(path) in err and "Traceback" not in err
+    assert kind == "manifest" or "utterance 's01_u001'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", ["missing", "directory"])
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_unreadable_checkpoint_is_data_error(tmp_path, capsys, command, fault):
+    """``eval --checkpoint`` and ``train --pretrained`` name a checkpoint
+    that cannot be read, with exit 2."""
+    manifest = synth(tmp_path)
+    path = tmp_path / "model.ckpt"
+    if fault == "directory":
+        path.mkdir()
+    checkpoint = (["--checkpoint", str(path)] if command == "eval"
+                  else ["--scenario", "S2", "--pretrained", str(path), "--seed", "0", *FAST_TRAIN])
+    capsys.readouterr()
+    assert main([command, "--manifest", str(manifest), *checkpoint, "--out", str(tmp_path / "runs")]) == 2
+    assert f"artinv: error: cannot read checkpoint {path}: " in capsys.readouterr().err
+
+
+def test_blas_core_changes_reports_only_in_rounding(tmp_path):
+    """Two OpenBLAS core kernels give reports that agree to a relative 1e-9,
+    well above GEMM rounding, and each run's environment.json names its core."""
+    manifest = synth(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, InversionModel(ModelConfig(), seed=1), feature_config_hash(MfccConfig()))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(artinv.__file__).resolve().parents[1])
+
+    def run(core):
+        out = tmp_path / f"eval-{core}"
+        subprocess.run([sys.executable, "-m", "artinv", "eval", "--manifest", str(manifest), "--checkpoint", str(ckpt),
+                        "--out", str(out)], env={**env, **({"OPENBLAS_CORETYPE": core} if core else {})},
+                       capture_output=True, check=True)
+        run_dir = next(out.glob("eval-*"))
+        with open(run_dir / "report.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        return json.loads((run_dir / "environment.json").read_text())["openblas_corename"], rows
+
+    default_core, default_rows = run(None)
+    if default_core is None:
+        pytest.skip("this numpy carries no scipy-openblas library")
+    forced = "Sandybridge" if default_core == "Haswell" else "Haswell"
+    forced_core, forced_rows = run(forced)
+    if forced_core != forced:
+        pytest.skip(f"OpenBLAS does not report the forced {forced} core on this CPU")
+    assert forced_core != default_core
+    assert [row[:6] for row in forced_rows] == [row[:6] for row in default_rows]
+    np.testing.assert_allclose([[float(v) for v in row[6:]] for row in forced_rows[1:]],
+                               [[float(v) for v in row[6:]] for row in default_rows[1:]], rtol=1e-9, atol=0)
 
 
 class TestLoso:

@@ -159,10 +159,14 @@ class TestLoso:
         # scoring again from the persisted prediction files reproduces the report
         idx, _ = ev.channel_indices("tongue")
         for fold, plan in zip(report.folds, make_fold_plans(samples, seed=7)):
-            redone = ev.score_stream_dir(out / "folds" / fold.held_out_speaker, "inversion",
+            redone = ev.score_stream_dir(out / "folds" / fold.held_out_speaker, SCENARIOS["S3"].scored_streams,
                                          plan.test_ids, idx)
-            assert redone.rmse_mean == fold.streams["inversion"].rmse_mean
-            assert redone.pcc_mean == fold.streams["inversion"].pcc_mean
+            assert list(redone) == list(fold.streams) == ["phoneme", "inversion"]
+            for stream, score in redone.items():
+                assert score.rmse_mean == fold.streams[stream].rmse_mean
+                assert score.pcc_mean == fold.streams[stream].pcc_mean
+                np.testing.assert_array_equal(score.rmse_channels, fold.streams[stream].rmse_channels)
+                np.testing.assert_array_equal(score.pcc_channels, fold.streams[stream].pcc_channels)
 
     def test_s3_scores_both_streams(self, tmp_path):
         samples = corpus(tmp_path, speakers=2, utts=2, seed=8)

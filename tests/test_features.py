@@ -275,6 +275,14 @@ class TestPhonemeEncoding:
         with pytest.raises(DataError, match="QX"):
             feat.encode_phonemes([AlignmentEntry(0.0, 0.1, "QX")], 5, 0.01)
 
+    def test_first_unknown_label_a_frame_hits_is_named(self):
+        # no frame center (0.005, 0.015, ...) falls in [0.051, 0.054)
+        entries = [AlignmentEntry(0.0, 0.05, "AA"), AlignmentEntry(0.051, 0.054, "XX"),
+                   AlignmentEntry(0.06, 0.1, "QX"), AlignmentEntry(0.1, 0.2, "ZZ")]
+        with pytest.raises(DataError, match="'QX'"):
+            feat.encode_phonemes(entries, 20, 0.01)
+        np.testing.assert_array_equal(feat.encode_phonemes(entries[:2], 5, 0.01)[:, feat.PHONEME_INDEX["AA"]], 1.0)
+
     def test_rows_are_one_hot_or_zero(self):
         rng = np.random.default_rng(2)
         t0 = 0.0
@@ -289,10 +297,58 @@ class TestPhonemeEncoding:
         sums = out.sum(axis=1)
         assert set(np.unique(sums)) <= {0.0, 1.0}
 
-    def test_overlapping_entries_rejected(self):
-        entries = [AlignmentEntry(0.0, 0.5, "AA"), AlignmentEntry(0.4, 0.8, "IY")]
-        with pytest.raises(DataError, match="overlap"):
-            feat.encode_phonemes(entries, 10, 0.01)
+
+class TestReadAlignment:
+    def test_crlf_and_blank_lines_read_as_lf(self, tmp_path):
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes(b"0.0\t0.5\tAA1\n\n0.5\t1.0\tsil\n")
+        crlf.write_bytes(b"0.0\t0.5\tAA1\r\n\r\n0.5\t1.0\tsil\r\n")
+        expected = [AlignmentEntry(0.0, 0.5, "AA1"), AlignmentEntry(0.5, 1.0, "sil")]
+        assert feat.read_alignment(lf) == feat.read_alignment(crlf) == expected
+
+    def test_overlapping_entries_rejected(self, tmp_path):
+        path = tmp_path / "a.align.txt"
+        path.write_text("0.0\t0.5\tAA\n0.4\t0.8\tIY\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: overlapping")):
+            feat.read_alignment(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("0.5\t0.5\tAA", "invalid interval"), ("-0.1\t0.5\tAA", "invalid interval"),
+        ("0.0\t0.5", "expected 'start<TAB>end<TAB>label'"), ("0.0\tx\tAA", "non-numeric interval bounds"),
+    ], ids=["empty_interval", "negative_start", "two_fields", "non_numeric"])
+    def test_malformed_line_names_the_file(self, tmp_path, line, message):
+        path = tmp_path / "a.align.txt"
+        path.write_text(line + "\n")
+        with pytest.raises(DataError, match=re.escape(str(path)) + ".*" + re.escape(message)):
+            feat.read_alignment(path)
+
+
+EMA_HEADER = "time_s," + ",".join(feat.EMA_CHANNELS)
+
+
+class TestReadEmaCsv:
+    def test_reads_times_and_channels(self, tmp_path):
+        path = tmp_path / "a.ema.csv"
+        path.write_text(EMA_HEADER + "\n" + ",".join(["0.005"] + ["1.5"] * 12) + "\n"
+                        + ",".join(["0.015"] + ["-2.25"] * 12) + "\n")
+        track = feat.read_ema_csv(path)
+        np.testing.assert_array_equal(track.times, [0.005, 0.015])
+        np.testing.assert_array_equal(track.values, [[1.5] * 12, [-2.25] * 12])
+
+    @pytest.mark.parametrize("text, message", [
+        ("time," + ",".join(feat.EMA_CHANNELS) + "\n0.0" + ",1.0" * 12 + "\n", "header must be " + EMA_HEADER),
+        ("", "header must be " + EMA_HEADER),
+        (EMA_HEADER + "\n0.0" + ",1.0" * 11 + "\n", ":2: expected 13 columns, got 12"),
+        (EMA_HEADER + "\n0.0" + ",1.0" * 12 + "\n0.01" + ",1.0" * 11 + ",x\n", ":3: non-numeric value"),
+        (EMA_HEADER + "\n", ": no rows"),
+        (EMA_HEADER + "\n0.0,nan" + ",1.0" * 11 + "\n", ": EMA track contains NaN or Inf"),
+        (EMA_HEADER + "\n0.01" + ",1.0" * 12 + "\n0.0" + ",1.0" * 12 + "\n", ": EMA sample times must be strictly"),
+    ], ids=["wrong_header", "empty_file", "column_count", "non_numeric", "no_rows", "nan", "times_decreasing"])
+    def test_malformed_file_names_it(self, tmp_path, text, message):
+        path = tmp_path / "a.ema.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=re.escape(f"{path}") + ".*" + re.escape(message)):
+            feat.read_ema_csv(path)
 
 
 class TestEmaAlignment:
