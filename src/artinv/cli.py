@@ -166,7 +166,7 @@ def _environment() -> dict:
 
 
 def _write_json(path: Path, value: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with dataio.create_text(path) as fh:
         json.dump(value, fh, sort_keys=True, indent=2, default=str)
         fh.write("\n")
 
@@ -178,10 +178,15 @@ def _run_dir(args, base) -> Path:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
     digest = hashlib.sha256(blob.encode()).hexdigest()[:12]
     run_dir = Path(base) / f"{args.command}-{digest}"
-    run_dir.mkdir(parents=True, exist_ok=True)
     _write_json(run_dir / "config.json", config)
     _write_json(run_dir / "environment.json", _environment())
     return run_dir
+
+
+def _print_scores(scores: dict, path: Path) -> None:
+    for name, score in scores.items():
+        print(f"{name}: rmse_mm={score.rmse_mean:.4f} pcc={score.pcc_mean:.4f}")
+    print(path)
 
 
 def _mfcc_config(args) -> MfccConfig:
@@ -195,7 +200,7 @@ def _hyper(args) -> Hyper:
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
-    if out.exists() and any(out.iterdir()) and not args.force:
+    if out.is_dir() and any(out.iterdir()) and not args.force:
         raise UsageError(f"output directory {out} is not empty (use --force to write anyway)")
     spec = dataio.SyntheticSpec(
         speakers=args.speakers, utterances_per_speaker=args.utts,
@@ -249,13 +254,14 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _mfcc_config(args)
     samples = dataio.load_manifest(args.manifest, cfg)
+    # a checkpoint that cannot be used fails before the run directory is
+    # made; loaded through evaluation's name, which bench/traced_cli.py times
+    ckpt = evaluation.load_checkpoint(args.checkpoint)
+    dataio.require_compatible(ckpt, feature_config_hash(cfg), path=args.checkpoint)
+    model = dataio.model_from_checkpoint(ckpt, path=args.checkpoint)
     run_dir = _run_dir(args, args.out)
-    report = evaluation.evaluate_checkpoint(args.checkpoint, samples, run_dir,
-                                            channels=args.channels,
-                                            feature_hash=feature_config_hash(cfg))
-    for stream, score in report.grand.items():
-        print(f"{stream}: rmse_mm={score.rmse_mean:.4f} pcc={score.pcc_mean:.4f}")
-    print(run_dir / "report.csv")
+    report = evaluation.evaluate_model(ckpt, model, samples, run_dir, channels=args.channels)
+    _print_scores(report.grand, run_dir / "report.csv")
     return 0
 
 
@@ -269,9 +275,7 @@ def cmd_loso(args) -> int:
     report = evaluation.run_loso(samples, args.scenario, hyper, seed=args.seed,
                                  out_dir=run_dir, channels=args.channels, jobs=args.jobs,
                                  feature_hash=feature_config_hash(cfg))
-    for stream, score in report.grand.items():
-        print(f"{stream}: rmse_mm={score.rmse_mean:.4f} pcc={score.pcc_mean:.4f}")
-    print(run_dir / "report.csv")
+    _print_scores(report.grand, run_dir / "report.csv")
     failed = [f"{f.held_out_speaker}: {f.failed}" for f in report.folds if f.failed]
     if failed:
         print("artinv: error: fold(s) failed, grand means omitted - " + "; ".join(failed),
@@ -290,10 +294,7 @@ def cmd_ablate(args) -> int:
     reports = evaluation.run_ablation(samples, hyper, seed=args.seed, out_dir=run_dir,
                                       channels=args.channels, jobs=args.jobs,
                                       feature_hash=feature_config_hash(cfg))
-    for arm, report in reports.items():
-        score = report.grand["inversion"]
-        print(f"{arm}: rmse_mm={score.rmse_mean:.4f} pcc={score.pcc_mean:.4f}")
-    print(run_dir / "ablation.csv")
+    _print_scores({arm: report.grand["inversion"] for arm, report in reports.items()}, run_dir / "ablation.csv")
     return 0
 
 

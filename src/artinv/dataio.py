@@ -1,4 +1,4 @@
-"""Dataset manifests, synthetic corpus generation, and checkpoint persistence.
+"""Dataset manifests, synthetic corpus, text output and checkpoint files.
 
 Manifest contract: CSV with header ``utterance_id,speaker_id,features,alignment,ema``
 and paths relative to the manifest's directory.  The features column names
@@ -10,6 +10,7 @@ round-trip precision so readers reconstruct them bit-exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -40,26 +41,46 @@ class UtteranceSample:
     ema: np.ndarray
 
 
+# -- text output --------------------------------------------------------------
+
+@contextlib.contextmanager
+def _writing(path):
+    """Make ``path``'s parent directories, then run the block that writes
+    ``path``; an OSError from either is a UsageError naming the path."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        yield path
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+@contextlib.contextmanager
+def create_text(path):
+    """Open ``path`` for writing as UTF-8 text with ``newline=""``, after making
+    its parent directories; any OSError is a UsageError naming the path."""
+    with _writing(path) as path, open(path, "w", encoding="utf-8", newline="") as fh:
+        yield fh
+
+
+def write_csv(path, rows, header=None) -> None:
+    """Write ``rows`` of Python values with ``csv.writer``, which writes a
+    float as its repr (``format_float``): it reads back bit-exactly."""
+    with create_text(path) as fh:
+        csv.writer(fh).writerows(rows if header is None else [header, *rows])
+
+
 def format_float(x) -> str:
     return repr(float(x))
 
 
 def write_matrix_csv(path, matrix: np.ndarray, header=None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(header)
-        for row in np.atleast_2d(matrix):
-            writer.writerow([format_float(v) for v in row])
+    write_csv(path, np.atleast_2d(np.asarray(matrix, dtype=np.float64)).tolist(), header)
 
 
 def write_trace_csv(path, trace) -> None:
     """Per-epoch loss trace: epoch, train_loss, val_loss rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("epoch", "train_loss", "val_loss"))
-        for epoch, train_loss, val_loss in trace:
-            writer.writerow((epoch, format_float(train_loss), format_float(val_loss)))
+    write_csv(path, [(epoch, float(t), float(v)) for epoch, t, v in trace], ("epoch", "train_loss", "val_loss"))
 
 
 # -- manifest loading --------------------------------------------------------
@@ -110,13 +131,19 @@ def _load_utterance(utt_id, speaker_id, base: Path, feat_rel, align_rel, ema_rel
     else:
         mfcc = feat.read_matrix_csv(feat_path, cfg.feature_dim)
         hop_s = cfg.hop_seconds()
-    bad = np.flatnonzero(~np.isfinite(mfcc).all(axis=1))
-    if bad.size:
-        raise DataError(f"{feat_path.name}: non-finite feature value in frame {bad[0]}")
+    _require_finite(feat_path, mfcc, "feature value")
     frames = mfcc.shape[0]
     phonemes = feat.encode_phonemes(feat.read_alignment(base / align_rel), frames, hop_s)
+    # a finite track can still interpolate to inf: (1e308 - -1e308) overflows
     ema = feat.align_ema(feat.read_ema_csv(base / ema_rel), frames, hop_s)
+    _require_finite(base / ema_rel, ema, "interpolated articulator value")
     return UtteranceSample(utt_id, speaker_id, mfcc, phonemes, ema)
+
+
+def _require_finite(path: Path, frames: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(frames).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path.name}: non-finite {what} in frame {bad[0]}")
 
 
 def speakers_of(samples) -> list[str]:
@@ -175,7 +202,6 @@ def _moving_average(track: np.ndarray, width: int) -> np.ndarray:
 def generate_synthetic(spec: SyntheticSpec, out_dir) -> Path:
     """Write a corpus under ``out_dir`` and return the manifest path."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
 
     n_phonemes = len(feat.ARPABET_39)
@@ -187,8 +213,6 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> Path:
     manifest_rows = []
     for s in range(spec.speakers):
         speaker = f"s{s + 1:02d}"
-        spk_dir = out / speaker
-        spk_dir.mkdir(exist_ok=True)
         for u in range(spec.utterances_per_speaker):
             utt = f"{speaker}_u{u + 1:03d}"
             n_phones = int(rng.integers(spec.phones_range[0], spec.phones_range[1] + 1))
@@ -210,12 +234,10 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> Path:
             ema_rel = f"{speaker}/{utt}.ema.csv"
             write_matrix_csv(out / feat_rel, acoustics)
 
-            with open(out / align_rel, "w", encoding="utf-8") as fh:
-                t0 = 0
-                for label, dur in zip(labels, durations):
-                    start, end = t0 * spec.hop_s, (t0 + int(dur)) * spec.hop_s
-                    fh.write(f"{format_float(start)}\t{format_float(end)}\t{feat.ARPABET_39[label]}\n")
-                    t0 += int(dur)
+            ends = np.cumsum(durations).tolist()
+            with create_text(out / align_rel) as fh:  # a float's str is its repr
+                fh.writelines(f"{t0 * spec.hop_s}\t{t1 * spec.hop_s}\t{feat.ARPABET_39[label]}\n"
+                              for label, t0, t1 in zip(labels, [0] + ends, ends))
 
             times = (np.arange(frames) + 0.5) * spec.hop_s
             write_matrix_csv(out / ema_rel, np.column_stack([times, ema]),
@@ -223,10 +245,7 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> Path:
             manifest_rows.append((utt, speaker, feat_rel, align_rel, ema_rel))
 
     manifest = out / "manifest.csv"
-    with open(manifest, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_COLUMNS)
-        writer.writerows(manifest_rows)
+    write_csv(manifest, manifest_rows, header=MANIFEST_COLUMNS)
     return manifest
 
 
@@ -307,26 +326,25 @@ def save_checkpoint(path, model: InversionModel, feature_hash: str,
         "arrays": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
     digest = hashlib.sha256()
-    try:
-        with open(tmp, "wb") as fh:
-            def put(chunk):
-                digest.update(chunk)
-                fh.write(chunk)
+    with _writing(path) as path:
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                def put(chunk):
+                    digest.update(chunk)
+                    fh.write(chunk)
 
-            put(MAGIC)
-            put(struct.pack("<HI", FORMAT_VERSION, len(header_bytes)))
-            put(header_bytes)
-            for arr in arrays.values():
-                put(np.ascontiguousarray(arr, dtype="<f8"))  # by buffer, no copy
-            fh.write(digest.digest())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+                put(MAGIC)
+                put(struct.pack("<HI", FORMAT_VERSION, len(header_bytes)))
+                put(header_bytes)
+                for arr in arrays.values():
+                    put(np.ascontiguousarray(arr, dtype="<f8"))  # by buffer, no copy
+                fh.write(digest.digest())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 def _read_aligned(path, head_len: int) -> memoryview:

@@ -20,17 +20,16 @@ import logging
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
-
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio
-from .dataio import load_checkpoint, save_checkpoint, write_matrix_csv
-from .errors import DataError, NumericalError, UsageError
-from .features import EMA_CHANNELS, TONGUE_CHANNELS, read_matrix_csv
+from .dataio import create_text, load_checkpoint, save_checkpoint, write_csv, write_matrix_csv
+from .errors import ArtinvError, DataError, NumericalError, UsageError
+from .features import EMA_CHANNELS, TONGUE_CHANNELS, open_text, read_matrix_csv
 from .model import (
     InversionModel, ModelConfig, SCENARIOS, VARIANT_SPEECH_ONLY, apply_scenario,
 )
@@ -246,10 +245,8 @@ def grand_scores(folds: list, streams) -> dict:
 # -- fold execution -----------------------------------------------------------
 
 def _write_predictions(fold_dir: Path, stream: str, utterance_id: str, matrix: np.ndarray):
-    directory = fold_dir / "predictions" / stream
-    directory.mkdir(parents=True, exist_ok=True)
     frames = np.arange(matrix.shape[0])
-    write_matrix_csv(directory / f"{utterance_id}.csv",
+    write_matrix_csv(fold_dir / "predictions" / stream / f"{utterance_id}.csv",
                      np.column_stack([frames, matrix]),
                      header=("frame",) + EMA_CHANNELS)
 
@@ -312,7 +309,7 @@ def _predict_and_score(model: InversionModel, scenario, samples, fold_dir: Path,
     worker forked from it, which inherits the model and samples instead of
     unpickling them.  Every utterance's forward and files are the same
     whichever process writes them, so the outputs do not depend on
-    ``shares``."""
+    ``shares``.  A worker that dies ends the call with an ArtinvError."""
     plan = frame_shares([len(s.ema) for s in samples], max(1, min(shares, len(samples))))
     state = (model, scenario, samples, fold_dir)
     pool = contextlib.nullcontext()
@@ -323,7 +320,10 @@ def _predict_and_score(model: InversionModel, scenario, samples, fold_dir: Path,
         futures = [pool.submit(_predict_share_in_worker, share) for share in plan[1:]]
         _predict_share(*state, plan[0])
         for future in futures:
-            future.result()
+            try:
+                future.result()
+            except BrokenProcessPool:
+                raise ArtinvError(f"worker process died while predicting into {fold_dir}") from None
     return score_stream_dir(fold_dir, scenario.scored_streams, [s.utterance_id for s in samples], idx)
 
 
@@ -333,7 +333,6 @@ def run_fold(plan: FoldPlan, samples, scenario_id: str, hyper: Hyper, seed: int,
     and score the held-out speaker from the persisted files."""
     scenario = SCENARIOS[scenario_id]
     fold_dir = Path(fold_dir)
-    fold_dir.mkdir(parents=True, exist_ok=True)
     by_id = {s.utterance_id: s for s in samples}
     train_samples = [by_id[i] for i in plan.train_ids]
     val_samples = [by_id[i] for i in plan.val_ids]
@@ -369,41 +368,48 @@ def run_fold(plan: FoldPlan, samples, scenario_id: str, hyper: Hyper, seed: int,
                      streams=_predict_and_score(model, scenario, test_samples, fold_dir, idx, shares=1))
 
 
-def _run_fold_job(args):
-    (plan, samples, scenario_id, hyper, seed, config_dict, fold_dir, feature_hash, channels) = args
+def _failed_fold(plan: FoldPlan, message: str) -> FoldScore:
+    log.error("fold %d (%s) failed: %s", plan.index, plan.held_out_speaker, message)
+    return FoldScore(index=plan.index, held_out_speaker=plan.held_out_speaker, failed=message)
+
+
+def _run_fold_job(plan: FoldPlan, *args) -> FoldScore:
     try:
-        return run_fold(plan, samples, scenario_id, hyper, seed,
-                        ModelConfig.from_dict(config_dict), fold_dir, feature_hash, channels)
+        return run_fold(plan, *args)
     except (DataError, NumericalError) as exc:
-        log.error("fold %d (%s) failed: %s", plan.index, plan.held_out_speaker, exc)
-        return FoldScore(index=plan.index, held_out_speaker=plan.held_out_speaker, failed=str(exc))
+        return _failed_fold(plan, str(exc))
+
+
+def _pooled_fold(plan: FoldPlan, future) -> FoldScore:
+    try:
+        return future.result()
+    except BrokenProcessPool:
+        return _failed_fold(plan, "worker process died")
 
 
 def run_loso(samples, scenario_id: str, hyper: Hyper, seed: int, out_dir,
              model_config: ModelConfig | None = None, channels: str = "tongue",
              jobs: int = 1, feature_hash: str = "") -> EvalReport:
     """Full leave-one-speaker-out protocol: one fold per speaker, reports
-    written under ``out_dir`` (report.csv, report.txt, per-fold trees)."""
+    written under ``out_dir`` (report.csv, report.txt, per-fold trees).
+    If a worker of the ``jobs`` > 1 pool dies, every unfinished fold fails."""
     if scenario_id not in SCENARIOS:
         raise UsageError(f"unknown scenario {scenario_id!r}")
     model_config = model_config or ModelConfig(
         variant=VARIANT_SPEECH_ONLY if scenario_id == "SPEECH_ONLY" else "two_stream")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     plans = make_fold_plans(samples, seed)
     idx, names = channel_indices(channels)
 
     started = time.monotonic()
-    jobs_args = [
-        (plan, samples, scenario_id, hyper, seed, model_config.to_dict(),
-         str(out_dir / "folds" / plan.held_out_speaker), feature_hash, channels)
-        for plan in plans
-    ]
+    fold_args = [(plan, samples, scenario_id, hyper, seed, model_config, out_dir / "folds" / plan.held_out_speaker,
+                  feature_hash, channels) for plan in plans]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            folds = list(pool.map(_run_fold_job, jobs_args))
+            futures = [pool.submit(_run_fold_job, *args) for args in fold_args]
+        folds = [_pooled_fold(plan, future) for plan, future in zip(plans, futures)]
     else:
-        folds = [_run_fold_job(a) for a in jobs_args]
+        folds = [_run_fold_job(*args) for args in fold_args]
     elapsed = time.monotonic() - started
 
     # grand means only exist when every fold trained; failed folds stay
@@ -415,7 +421,7 @@ def run_loso(samples, scenario_id: str, hyper: Hyper, seed: int, out_dir,
         folds=folds, grand=grand,
     )
     write_report(report, out_dir)
-    with open(out_dir / "timing.txt", "w", encoding="utf-8") as fh:
+    with create_text(out_dir / "timing.txt") as fh:
         fh.write(f"loso_wall_seconds={elapsed:.3f}\n")
     return report
 
@@ -456,23 +462,18 @@ def write_report(report: EvalReport, out_dir) -> None:
     header = (["scope", "fold_index", "held_out_speaker", "stream", "n_utterances",
                "n_frames", "rmse_mm", "pcc"]
               + [f"rmse_{n}" for n in names] + [f"pcc_{n}" for n in names])
-    ff = dataio.format_float
-    with open(out_dir / "report.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for fold in report.folds:
-            if fold.failed:
-                writer.writerow(["fold_failed", fold.index, fold.held_out_speaker, fold.failed]
-                                + [""] * (len(header) - 4))
-                continue
-            for stream, s in fold.streams.items():
-                writer.writerow(["fold", fold.index, fold.held_out_speaker, stream,
-                                 s.n_utterances, s.n_frames, ff(s.rmse_mean), ff(s.pcc_mean)]
-                                + [ff(v) for v in s.rmse_channels] + [ff(v) for v in s.pcc_channels])
-        for stream, s in report.grand.items():
-            writer.writerow(["grand", "", "", stream, s.n_utterances, s.n_frames,
-                             ff(s.rmse_mean), ff(s.pcc_mean)]
-                            + [ff(v) for v in s.rmse_channels] + [ff(v) for v in s.pcc_channels])
+
+    def scores(s: StreamScore) -> list:
+        return [s.n_utterances, s.n_frames, float(s.rmse_mean), float(s.pcc_mean),
+                *s.rmse_channels.tolist(), *s.pcc_channels.tolist()]
+
+    rows = []
+    for fold in report.folds:
+        if fold.failed:
+            rows.append(["fold_failed", fold.index, fold.held_out_speaker, fold.failed] + [""] * (len(header) - 4))
+        rows += [["fold", fold.index, fold.held_out_speaker, stream, *scores(s)] for stream, s in fold.streams.items()]
+    rows += [["grand", "", "", stream, *scores(s)] for stream, s in report.grand.items()]
+    write_csv(out_dir / "report.csv", rows, header)
 
     speakers = [f.held_out_speaker for f in report.folds]
     streams = list(report.grand) or sorted({st for f in report.folds for st in f.streams})
@@ -482,64 +483,43 @@ def write_report(report: EvalReport, out_dir) -> None:
         "# per-speaker columns are fold RMSE (mm) on the held-out speaker",
         "",
     ]
-    width = max([len(s) for s in speakers] + [8])
-    head = "stream".ljust(12) + "".join(s.rjust(width + 2) for s in speakers) \
-        + "RMSE".rjust(width + 2) + "PCC".rjust(width + 2)
-    lines.append(head)
+    width = max([len(s) for s in speakers] + [8]) + 2
+    lines.append("stream".ljust(12) + "".join(cell.rjust(width) for cell in [*speakers, "RMSE", "PCC"]))
     for stream in streams:
-        cells = []
-        for fold in report.folds:
-            cell = "failed" if fold.failed else f"{fold.streams[stream].rmse_mean:.3f}"
-            cells.append(cell.rjust(width + 2))
         grand = report.grand.get(stream)
-        grand_cells = ("-", "-") if grand is None else (f"{grand.rmse_mean:.3f}", f"{grand.pcc_mean:.3f}")
-        lines.append(stream.ljust(12) + "".join(cells)
-                     + grand_cells[0].rjust(width + 2) + grand_cells[1].rjust(width + 2))
-    with open(out_dir / "report.txt", "w", encoding="utf-8") as fh:
+        cells = ["failed" if fold.failed else f"{fold.streams[stream].rmse_mean:.3f}" for fold in report.folds]
+        cells += ["-", "-"] if grand is None else [f"{grand.rmse_mean:.3f}", f"{grand.pcc_mean:.3f}"]
+        lines.append(stream.ljust(12) + "".join(cell.rjust(width) for cell in cells))
+    with create_text(out_dir / "report.txt") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_ablation_table(reports: dict, out_dir) -> None:
     out_dir = Path(out_dir)
-    ff = dataio.format_float
-    rows = []
-    for arm, report in reports.items():
-        for stream, s in report.grand.items():
-            rows.append((arm, stream, s.rmse_mean, s.pcc_mean))
-    with open(out_dir / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("arm", "stream", "rmse_mm", "pcc"))
-        for arm, stream, r, p in rows:
-            writer.writerow((arm, stream, ff(r), ff(p)))
+    rows = [(arm, stream, float(s.rmse_mean), float(s.pcc_mean))
+            for arm, report in reports.items() for stream, s in report.grand.items()]
+    write_csv(out_dir / "ablation.csv", rows, header=("arm", "stream", "rmse_mm", "pcc"))
     lines = ["# ablation: identical folds, seeds, and hyperparameters per arm",
              f"# {LADDER_NOTE}", "",
              "arm".ljust(14) + "stream".ljust(12) + "RMSE".rjust(10) + "PCC".rjust(10)]
-    for arm, stream, r, p in rows:
-        lines.append(arm.ljust(14) + stream.ljust(12) + f"{r:.3f}".rjust(10) + f"{p:.3f}".rjust(10))
-    with open(out_dir / "ablation.txt", "w", encoding="utf-8") as fh:
+    lines += [f"{arm:<14}{stream:<12}{r:>10.3f}{p:>10.3f}" for arm, stream, r, p in rows]
+    with create_text(out_dir / "ablation.txt") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_report_csv(path) -> list[dict]:
     """Rows of report.csv as dicts (strings preserved for exactness checks)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return list(csv.DictReader(fh))
 
 
 # -- single-checkpoint scoring ----------------------------------------------
 
-def evaluate_checkpoint(checkpoint_path, samples, out_dir, channels: str = "tongue",
-                        feature_hash: str | None = None) -> EvalReport:
-    """Score one trained model on one manifest (no training, no folds),
-    predicting in one frame-balanced share per usable core."""
-    ckpt = load_checkpoint(checkpoint_path)
-    if feature_hash is not None:
-        dataio.require_compatible(ckpt, feature_hash, path=str(checkpoint_path))
-    model = dataio.model_from_checkpoint(ckpt, path=str(checkpoint_path))
+def evaluate_model(ckpt: dataio.Checkpoint, model: InversionModel, samples, out_dir, channels="tongue") -> EvalReport:
+    """Score ``dataio.model_from_checkpoint(ckpt)`` on one manifest (no training,
+    no folds), predicting in one frame-balanced share per usable core."""
     scenario = SCENARIOS[ckpt.scenario or "S3"]
-    out_dir = Path(out_dir)
-    fold_dir = out_dir / "folds" / "all"
-    fold_dir.mkdir(parents=True, exist_ok=True)
+    fold_dir = Path(out_dir) / "folds" / "all"
     idx, names = channel_indices(channels)
     fold_score = FoldScore(index=0, held_out_speaker="all",
                            streams=_predict_and_score(model, scenario, samples, fold_dir, idx,

@@ -17,7 +17,7 @@ import pytest
 import artinv
 from artinv import evaluation
 from artinv.cli import main
-from artinv.dataio import load_manifest, save_checkpoint
+from artinv.dataio import load_checkpoint, load_manifest, model_from_checkpoint, save_checkpoint
 from artinv.errors import DataError
 from artinv.features import MfccConfig, feature_config_hash
 from artinv.model import InversionModel, ModelConfig
@@ -237,8 +237,8 @@ class TestEval:
             assert environment["openblas_threads"] == 1 and environment["openblas_corename"]
         assert not set(environment) & set(json.loads((run_dir / "config.json").read_text()))
         direct = tmp_path / "direct"
-        evaluation.evaluate_checkpoint(ckpt, load_manifest(manifest), direct,
-                                       feature_hash=feature_config_hash(MfccConfig()))
+        loaded = load_checkpoint(ckpt)
+        evaluation.evaluate_model(loaded, model_from_checkpoint(loaded), load_manifest(manifest), direct)
         assert (run_dir / "report.csv").read_bytes() == (direct / "report.csv").read_bytes()
 
     def test_no_share_worker_outlives_the_command(self, tmp_path, monkeypatch, capsys):
@@ -333,6 +333,96 @@ def test_unreadable_checkpoint_is_data_error(tmp_path, capsys, command, fault):
     capsys.readouterr()
     assert main([command, "--manifest", str(manifest), *checkpoint, "--out", str(tmp_path / "runs")]) == 2
     assert f"artinv: error: cannot read checkpoint {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "loso", "ablate"])
+def test_out_naming_a_file_is_usage_error(tmp_path, capsys, command):
+    """An ``--out`` that names an existing regular file gives one error line
+    naming the path and exit 1, not a traceback, and leaves the file as it is."""
+    manifest = synth(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, InversionModel(SMALL), feature_config_hash(MfccConfig()))
+    flags = {"synth": ["--seed", "0", *TINY_SYNTH],
+             "train": ["--manifest", str(manifest), "--scenario", "S3", "--seed", "0", *FAST_TRAIN],
+             "eval": ["--manifest", str(manifest), "--checkpoint", str(ckpt)],
+             "loso": ["--manifest", str(manifest), "--scenario", "S1", "--seed", "0", *FAST_TRAIN],
+             "ablate": ["--manifest", str(manifest), "--seed", "0", *FAST_TRAIN]}[command]
+    out = tmp_path / "taken"
+    out.write_text("a file\n")
+    capsys.readouterr()
+    assert main([command, *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"artinv: error: cannot write {out}/") and len(err.splitlines()) == 1
+    assert out.read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("fault", ["directory", "feature_hash", "non_finite"])
+def test_unusable_eval_checkpoint_leaves_no_run_directory(tmp_path, capsys, fault):
+    manifest = synth(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, InversionModel(SMALL), feature_config_hash(MfccConfig()))
+    if fault == "directory":
+        ckpt.unlink()
+        ckpt.mkdir()
+    elif fault == "non_finite":
+        header, data = unseal(ckpt.read_bytes())
+        ckpt.write_bytes(seal(header, with_value(header, data, "head.fc.bias", 0, float("inf"))))
+    hop = ["--hop_ms", "12.5"] if fault == "feature_hash" else []
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt), "--out", str(out), *hop]) == 2
+    assert str(ckpt) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dead_fold_worker_fails_the_unfinished_folds(tmp_path, capfd, monkeypatch):
+    """A LOSO pool worker killed outright fails its fold and every fold the
+    broken pool had not finished: the report still lists every fold, and the
+    command exits 2 with one error line."""
+    manifest = synth(tmp_path, extra=["--speakers", "3"])
+    caller = os.getpid()
+    run_fold = evaluation.run_fold
+
+    def dies_in_a_worker(plan, *args):
+        if os.getpid() != caller and plan.index == 0:
+            os._exit(9)
+        return run_fold(plan, *args)
+
+    monkeypatch.setattr(evaluation, "run_fold", dies_in_a_worker)
+    out = tmp_path / "loso"
+    capfd.readouterr()
+    assert main(["loso", "--manifest", str(manifest), "--scenario", "S1", "--out", str(out), "--seed", "0",
+                 *FAST_TRAIN, "--jobs", "2"]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("artinv: error: fold(s) failed") and "s01: worker process died" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    rows = evaluation.read_report_csv(next(out.glob("loso-*")) / "report.csv")
+    assert [r["held_out_speaker"] for r in rows] == ["s01", "s02", "s03"]
+    assert rows[0]["scope"] == "fold_failed" and rows[0]["stream"] == "worker process died"
+    assert all(r["scope"] == "fold" or r["stream"] == "worker process died" for r in rows)
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_share_worker_is_one_error_line(tmp_path, capfd, monkeypatch):
+    manifest = synth(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, InversionModel(SMALL, seed=1), feature_config_hash(MfccConfig()))
+    monkeypatch.setattr(evaluation, "usable_cores", lambda: 3)
+    caller = os.getpid()
+    predict = InversionModel.predict
+
+    def dies_in_workers(self, mfcc, phonemes):
+        if os.getpid() != caller:
+            os._exit(9)
+        return predict(self, mfcc, phonemes)
+
+    monkeypatch.setattr(InversionModel, "predict", dies_in_workers)
+    capfd.readouterr()
+    assert main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("artinv: error: worker process died while predicting into ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert multiprocessing.active_children() == []
 
 
 def test_blas_core_changes_reports_only_in_rounding(tmp_path):

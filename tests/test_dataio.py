@@ -1,7 +1,8 @@
-"""Manifests, the synthetic corpus generator, and checkpoint persistence."""
+"""Manifests, the synthetic corpus generator, text output and checkpoint persistence."""
 
 import hashlib
 import json
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -17,8 +18,8 @@ from artinv.dataio import (
     generate_synthetic, load_checkpoint, load_manifest, model_from_checkpoint,
     require_compatible, save_checkpoint,
 )
-from artinv.errors import DataError
-from artinv.features import MfccConfig, feature_config_hash
+from artinv.errors import DataError, UsageError
+from artinv.features import MfccConfig, feature_config_hash, read_matrix_csv
 from artinv.layers import uniform_init
 from artinv.model import InversionModel, ModelConfig
 from forging import seal, unseal, with_value
@@ -136,6 +137,42 @@ class TestManifest:
         feat_file.write_text("\n".join(rows) + "\n")
         with pytest.raises(DataError, match="s01_u002.*non-finite feature value in frame 1"):
             load_manifest(manifest)
+
+    def test_ema_interpolating_to_inf_names_the_file_and_utterance(self, tmp_path):
+        """Finite samples of 1e308 and -1e308 overflow the interpolation
+        slope and give -inf at both frame centres of a 2-frame utterance."""
+        spec = SyntheticSpec(speakers=1, utterances_per_speaker=1, duration_range=(1, 1), phones_range=(2, 2))
+        manifest = generate_synthetic(spec, tmp_path)
+        ema_file = tmp_path / "s01" / "s01_u001.ema.csv"
+        header = ema_file.read_text().splitlines()[0]
+        ema_file.write_text("\n".join([header, ",".join(["0.0"] + ["1e308"] * 12),
+                                       ",".join(["0.02"] + ["-1e308"] * 12)]) + "\n")
+        with pytest.raises(DataError, match="utterance 's01_u001': s01_u001.ema.csv: "
+                                             "non-finite interpolated articulator value in frame 0"):
+            load_manifest(manifest)
+
+
+class TestTextOutput:
+    def test_csv_floats_are_their_repr_and_read_back_bit_exactly(self, tmp_path):
+        values = np.array([[0.1, 1 / 3, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                            np.inf, -np.inf, np.nan, 1e16, 123456789.0]])
+        path = tmp_path / "m.csv"
+        dataio.write_matrix_csv(path, values)
+        assert path.read_bytes() == (",".join(dataio.format_float(v) for v in values[0]) + "\r\n").encode()
+        assert read_matrix_csv(path, values.shape[1]).tobytes() == values.tobytes()
+
+    def test_parent_directories_are_made(self, tmp_path):
+        dataio.write_csv(tmp_path / "a" / "b" / "t.csv", [(1, 0.5, "x")], header=("n", "v", "s"))
+        assert (tmp_path / "a" / "b" / "t.csv").read_bytes() == b"n,v,s\r\n1,0.5,x\r\n"
+
+    @pytest.mark.parametrize("where", ["parent_is_a_file", "path_is_a_directory"])
+    def test_unwritable_path_is_usage_error_naming_it(self, tmp_path, where):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        path = tmp_path / "file" / "t.txt" if where == "parent_is_a_file" else tmp_path / "dir"
+        with pytest.raises(UsageError, match=f"cannot write {re.escape(str(path))}: "):
+            with dataio.create_text(path) as fh:
+                fh.write("x")
 
 
 JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 10**12), st.text(max_size=4),

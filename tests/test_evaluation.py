@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from artinv import evaluation as ev
-from artinv.dataio import SyntheticSpec, generate_synthetic, load_checkpoint, load_manifest, save_checkpoint
+from artinv.dataio import (
+    SyntheticSpec, generate_synthetic, load_checkpoint, load_manifest, model_from_checkpoint, save_checkpoint,
+)
 from artinv.errors import DataError
 from artinv.evaluation import make_fold_plans, pcc, rmse, run_ablation, run_loso
 from artinv.features import MfccConfig, feature_config_hash
@@ -250,13 +252,13 @@ def test_no_training_thread_is_alive_when_the_fold_pool_forks(tmp_path, monkeypa
     at_fork = []
 
     class RecordingPool(ev.ProcessPoolExecutor):
-        def map(self, *args, **kwargs):
-            at_fork.append(set(threading.enumerate()))
-            return super().map(*args, **kwargs)
+        def submit(self, *args, **kwargs):
+            at_fork.append(set(threading.enumerate()))  # the first submit forks
+            return super().submit(*args, **kwargs)
 
     monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingPool)
     run_loso(samples, "S1", hyper, seed=21, out_dir=tmp_path / "par", model_config=TINY, jobs=2)
-    assert at_fork == [before]
+    assert len(at_fork) == 2 and at_fork[0] == before  # one submit per fold
 
 
 class TestShares:
@@ -333,5 +335,6 @@ class TestShares:
 
         monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingPool)
         before = set(threading.enumerate())
-        ev.evaluate_checkpoint(ckpt, samples, tmp_path / "eval")
+        loaded = load_checkpoint(ckpt)
+        ev.evaluate_model(loaded, model_from_checkpoint(loaded), samples, tmp_path / "eval")
         assert at_fork == [before]
