@@ -22,6 +22,12 @@ class DataError(ArtinvError):
     exit_code = 2
 
 
+class WorkerDied(ArtinvError):
+    """A forked worker process ended before it handed back its share."""
+
+    exit_code = 2
+
+
 class NumericalError(ArtinvError):
     """NaN/Inf encountered, or a numerical verification failed."""
 

@@ -18,7 +18,6 @@ import dataclasses
 import hashlib
 import logging
 import multiprocessing
-import os
 import time
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -28,12 +27,12 @@ import numpy as np
 
 from . import dataio
 from .dataio import create_text, load_checkpoint, save_checkpoint, write_csv, write_matrix_csv
-from .errors import ArtinvError, DataError, NumericalError, UsageError
+from .errors import DataError, NumericalError, UsageError, WorkerDied
 from .features import EMA_CHANNELS, TONGUE_CHANNELS, open_text, read_matrix_csv
 from .model import (
     InversionModel, ModelConfig, SCENARIOS, VARIANT_SPEECH_ONLY, apply_scenario,
 )
-from .training import Hyper, train_model
+from .training import Hyper, train_model, usable_cores
 
 log = logging.getLogger(__name__)
 
@@ -251,15 +250,6 @@ def _write_predictions(fold_dir: Path, stream: str, utterance_id: str, matrix: n
                      header=("frame",) + EMA_CHANNELS)
 
 
-def usable_cores() -> int:
-    """Cores this process may run on: how many shares ``artinv eval``
-    predicts in.  1 where processes cannot be forked, since a share worker
-    inherits the loaded model rather than unpickling it."""
-    if "fork" not in multiprocessing.get_all_start_methods() or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def frame_shares(frames, count: int) -> list[list[int]]:
     """Split the indices of utterances with ``frames`` frames into ``count``
     shares of near-equal frame totals: the longest utterance first (ties by
@@ -309,7 +299,7 @@ def _predict_and_score(model: InversionModel, scenario, samples, fold_dir: Path,
     worker forked from it, which inherits the model and samples instead of
     unpickling them.  Every utterance's forward and files are the same
     whichever process writes them, so the outputs do not depend on
-    ``shares``.  A worker that dies ends the call with an ArtinvError."""
+    ``shares``.  A worker that dies ends the call with WorkerDied."""
     plan = frame_shares([len(s.ema) for s in samples], max(1, min(shares, len(samples))))
     state = (model, scenario, samples, fold_dir)
     pool = contextlib.nullcontext()
@@ -323,14 +313,15 @@ def _predict_and_score(model: InversionModel, scenario, samples, fold_dir: Path,
             try:
                 future.result()
             except BrokenProcessPool:
-                raise ArtinvError(f"worker process died while predicting into {fold_dir}") from None
+                raise WorkerDied(f"worker process died while predicting into {fold_dir}") from None
     return score_stream_dir(fold_dir, scenario.scored_streams, [s.utterance_id for s in samples], idx)
 
 
 def run_fold(plan: FoldPlan, samples, scenario_id: str, hyper: Hyper, seed: int,
-             model_config: ModelConfig, fold_dir, feature_hash: str, channels: str) -> FoldScore:
-    """Train one fold per its scenario, persist checkpoint/trace/predictions,
-    and score the held-out speaker from the persisted files."""
+             model_config: ModelConfig, fold_dir, feature_hash: str, channels: str, cores: int = 1) -> FoldScore:
+    """Train one fold per its scenario on up to ``cores`` processes, persist
+    checkpoint/trace/predictions, and score the held-out speaker from the
+    persisted files."""
     scenario = SCENARIOS[scenario_id]
     fold_dir = Path(fold_dir)
     by_id = {s.utterance_id: s for s in samples}
@@ -349,14 +340,14 @@ def run_fold(plan: FoldPlan, samples, scenario_id: str, hyper: Hyper, seed: int,
         pre_model = InversionModel(model_config, seed=derive_seed(seed, "pretrain-model", plan.index))
         apply_scenario(SCENARIOS["S1"], pre_model)
         train_model(pre_model, SCENARIOS["S1"], train_samples, val_samples, hyper,
-                    seed=derive_seed(seed, "pretrain", plan.index))
+                    seed=derive_seed(seed, "pretrain", plan.index), cores=cores)
         save_checkpoint(fold_dir / "pretrain_phoneme.ckpt", pre_model, feature_hash,
                         scenario="S1", hyper=dataclasses.asdict(hyper), seed=seed)
         pretrained_arrays = {n: p.data for n, p in pre_model.partition_params("phoneme_stream").items()}
 
     model = InversionModel(model_config, seed=model_seed)
     apply_scenario(scenario, model, pretrained_arrays=pretrained_arrays)
-    result = train_model(model, scenario, train_samples, val_samples, hyper, seed=train_seed)
+    result = train_model(model, scenario, train_samples, val_samples, hyper, seed=train_seed, cores=cores)
 
     save_checkpoint(fold_dir / "checkpoint.ckpt", model, feature_hash,
                     scenario=scenario_id, hyper=dataclasses.asdict(hyper), seed=seed)
@@ -376,7 +367,7 @@ def _failed_fold(plan: FoldPlan, message: str) -> FoldScore:
 def _run_fold_job(plan: FoldPlan, *args) -> FoldScore:
     try:
         return run_fold(plan, *args)
-    except (DataError, NumericalError) as exc:
+    except (DataError, NumericalError, WorkerDied) as exc:
         return _failed_fold(plan, str(exc))
 
 
@@ -392,7 +383,9 @@ def run_loso(samples, scenario_id: str, hyper: Hyper, seed: int, out_dir,
              jobs: int = 1, feature_hash: str = "") -> EvalReport:
     """Full leave-one-speaker-out protocol: one fold per speaker, reports
     written under ``out_dir`` (report.csv, report.txt, per-fold trees).
-    If a worker of the ``jobs`` > 1 pool dies, every unfinished fold fails."""
+    The folds run ``jobs`` at a time, each training on its share of the
+    usable cores.  If a worker of the ``jobs`` > 1 pool dies, every
+    unfinished fold fails."""
     if scenario_id not in SCENARIOS:
         raise UsageError(f"unknown scenario {scenario_id!r}")
     model_config = model_config or ModelConfig(
@@ -402,8 +395,9 @@ def run_loso(samples, scenario_id: str, hyper: Hyper, seed: int, out_dir,
     idx, names = channel_indices(channels)
 
     started = time.monotonic()
+    cores = max(1, usable_cores() // jobs)
     fold_args = [(plan, samples, scenario_id, hyper, seed, model_config, out_dir / "folds" / plan.held_out_speaker,
-                  feature_hash, channels) for plan in plans]
+                  feature_hash, channels, cores) for plan in plans]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_fold_job, *args) for args in fold_args]

@@ -281,7 +281,7 @@ class Adam:
             np.multiply(g, 1.0 - b1, out=s1)
             np.add(m, s1, out=m)
             np.multiply(v, b2, out=v)             # v = b2*v + (1-b2)*(g*g)
-            np.multiply(g, g, out=s1)
+            np.square(g, out=s1)
             np.multiply(s1, 1.0 - b2, out=s1)
             np.add(v, s1, out=v)
             np.divide(v, c2, out=s1)              # denom = sqrt(v/c2) + eps

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import csv
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -15,12 +16,12 @@ import numpy as np
 import pytest
 
 import artinv
-from artinv import evaluation
+from artinv import evaluation, training
 from artinv.cli import main
 from artinv.dataio import load_checkpoint, load_manifest, model_from_checkpoint, save_checkpoint
 from artinv.errors import DataError
 from artinv.features import MfccConfig, feature_config_hash
-from artinv.model import InversionModel, ModelConfig
+from artinv.model import InversionModel, ModelConfig, SCENARIOS, apply_scenario
 from forging import seal, unseal, with_value
 
 TINY_SYNTH = ["--speakers", "2", "--utts", "2", "--dur_min", "3", "--dur_max", "5",
@@ -423,6 +424,140 @@ def test_dead_share_worker_is_one_error_line(tmp_path, capfd, monkeypatch):
     assert err.startswith("artinv: error: worker process died while predicting into ")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert multiprocessing.active_children() == []
+
+
+def forked_pids(monkeypatch) -> list:
+    """Record the pid of every process forked from here on."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def split_every_batch(monkeypatch, cores=2):
+    """Every utterance a packed group of its own, on ``cores`` usable cores."""
+    monkeypatch.setattr(training, "pack_groups", functools.partial(training.pack_groups, limit=1))
+    monkeypatch.setattr(training, "usable_cores", lambda: cores)
+    monkeypatch.setattr(evaluation, "usable_cores", lambda: cores)
+
+
+def die_in_training_workers(monkeypatch):
+    caller = os.getpid()
+    train_group = training._train_group
+
+    def dies_in_a_worker(*args):
+        if os.getpid() != caller:
+            os._exit(9)
+        return train_group(*args)
+
+    monkeypatch.setattr(training, "_train_group", dies_in_a_worker)
+
+
+def test_dead_training_worker_is_one_error_line(tmp_path, capfd, monkeypatch):
+    manifest = synth(tmp_path)
+    split_every_batch(monkeypatch)
+    die_in_training_workers(monkeypatch)
+    pids = forked_pids(monkeypatch)
+    capfd.readouterr()
+    assert main(["train", "--manifest", str(manifest), "--scenario", "S1", "--out", str(tmp_path / "train"),
+                 "--seed", "0", *FAST_TRAIN]) == 2
+    err = capfd.readouterr().err
+    assert err == "artinv: error: training worker process died\n"
+    assert len(pids) == 1
+    assert_reaped(pids)
+
+
+def test_dead_training_worker_fails_its_fold(tmp_path, capfd, monkeypatch):
+    manifest = synth(tmp_path, extra=["--utts", "4"])
+    split_every_batch(monkeypatch)
+    die_in_training_workers(monkeypatch)
+    pids = forked_pids(monkeypatch)
+    out = tmp_path / "loso"
+    capfd.readouterr()
+    assert main(["loso", "--manifest", str(manifest), "--scenario", "S1", "--out", str(out), "--seed", "0",
+                 *FAST_TRAIN, "--jobs", "1"]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("artinv: error: fold(s) failed") and "s01: training worker process died" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    rows = evaluation.read_report_csv(next(out.glob("loso-*")) / "report.csv")
+    assert [(r["scope"], r["stream"]) for r in rows] == [("fold_failed", "training worker process died")] * 2
+    assert len(pids) == 2  # one worker per fold
+    assert_reaped(pids)
+
+
+def test_interrupted_training_leaves_no_worker(tmp_path, monkeypatch):
+    samples = load_manifest(synth(tmp_path, extra=["--utts", "4"]))
+    split_every_batch(monkeypatch, cores=3)
+    caller = os.getpid()
+    train_group = training._train_group
+
+    def interrupted(*args):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        return train_group(*args)
+
+    monkeypatch.setattr(training, "_train_group", interrupted)
+    pids = forked_pids(monkeypatch)
+    model = InversionModel(SMALL, seed=2)
+    apply_scenario(SCENARIOS["S3"], model)
+    with pytest.raises(KeyboardInterrupt):
+        training.train_model(model, SCENARIOS["S3"], samples, [], training.Hyper(epochs=1, batch_size=3), seed=3)
+    assert len(pids) == 2
+    assert_reaped(pids)
+
+
+PARENT_DIES = """
+import functools, os, sys
+import numpy as np
+from artinv import training
+from artinv.dataio import UtteranceSample
+from artinv.model import InversionModel, ModelConfig, SCENARIOS, apply_scenario
+
+fork = os.fork
+def reporting():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+os.fork = reporting
+caller = os.getpid()
+train_group = training._train_group
+def parent_dies(*args):
+    if os.getpid() == caller:
+        os._exit(0)  # the worker is running its first group
+    return train_group(*args)
+training._train_group = parent_dies
+training.pack_groups = functools.partial(training.pack_groups, limit=1)
+rng = np.random.default_rng(0)
+samples = [UtteranceSample(f"u{i}", "s", rng.normal(size=(8, 39)), np.eye(39)[rng.integers(0, 39, 8)],
+                           rng.normal(size=(8, 12))) for i in range(4)]
+model = InversionModel(ModelConfig(attn_model_dim=8, attn_layers=1, attn_heads=2, attn_head_dim=4), seed=1)
+apply_scenario(SCENARIOS["S3"], model)
+training.train_model(model, SCENARIOS["S3"], samples, [], training.Hyper(epochs=1, batch_size=4), seed=2, cores=2)
+"""
+
+
+def test_training_worker_exits_when_its_parent_dies():
+    """The worker holds the command's stdout, so the command's output ends
+    only once the orphaned worker has exited on its pipes' end of file."""
+    env = {**os.environ, "PYTHONPATH": str(Path(artinv.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", PARENT_DIES], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.split()) == 1  # one worker was forked
+    assert done.stderr == ""
 
 
 def test_blas_core_changes_reports_only_in_rounding(tmp_path):

@@ -1,5 +1,6 @@
 """Metrics, fold planning, the LOSO protocol, and report reproducibility."""
 
+import functools
 import hashlib
 import multiprocessing
 import os
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from artinv import evaluation as ev
+from artinv import training
 from artinv.dataio import (
     SyntheticSpec, generate_synthetic, load_checkpoint, load_manifest, model_from_checkpoint, save_checkpoint,
 )
@@ -259,6 +261,28 @@ def test_no_training_thread_is_alive_when_the_fold_pool_forks(tmp_path, monkeypa
     monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingPool)
     run_loso(samples, "S1", hyper, seed=21, out_dir=tmp_path / "par", model_config=TINY, jobs=2)
     assert len(at_fork) == 2 and at_fork[0] == before  # one submit per fold
+
+
+@pytest.mark.parametrize("jobs, forks", [(1, True), (2, False)])
+def test_folds_share_the_usable_cores(tmp_path, monkeypatch, jobs, forks):
+    """Each fold trains on usable_cores() // jobs processes: with 2 cores,
+    --jobs 1 forks a gradient worker per fold and --jobs 2 forks none,
+    since the fold pool already fills both cores."""
+    samples = corpus(tmp_path, speakers=2, utts=4, seed=22)
+    monkeypatch.setattr(ev, "usable_cores", lambda: 2)
+    monkeypatch.setattr(training, "pack_groups", functools.partial(training.pack_groups, limit=1))
+    log = tmp_path / "shared.log"
+    share = training._share
+
+    def logged(params):  # runs once per train_model that forks workers, in any process
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        share(params)
+
+    monkeypatch.setattr(training, "_share", logged)
+    run_loso(samples, "S1", Hyper(epochs=1, batch_size=2), seed=23, out_dir=tmp_path / "run",
+             model_config=TINY, jobs=jobs)
+    assert (len(log.read_text().splitlines()) if log.exists() else 0) == (2 if forks else 0)
 
 
 class TestShares:

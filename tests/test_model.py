@@ -3,6 +3,7 @@
 import functools
 import inspect
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -400,10 +401,11 @@ class RecordingAdam(layers.Adam):
         super().step()
 
 
-def trained(monkeypatch, scenario, pack_limit=None, plain=False, epochs=2):
-    """Train a fresh small model under ``scenario``; return copies of its
-    parameters and its optimizer.  ``plain`` runs backward without the
-    per-parameter hook, so each batch's ``step`` does every update."""
+def trained(monkeypatch, scenario, pack_limit=None, plain=False, epochs=2, cores=1):
+    """Train a fresh small model under ``scenario`` on ``cores`` processes;
+    return copies of its parameters and its optimizer, which holds the loss
+    trace as ``trace``.  ``plain`` runs backward without the per-parameter
+    hook, so each batch's ``step`` does every update."""
     with monkeypatch.context() as patch:
         RecordingAdam.made = []
         patch.setattr(training, "Adam", RecordingAdam)
@@ -419,9 +421,10 @@ def trained(monkeypatch, scenario, pack_limit=None, plain=False, epochs=2):
             pretrained = {n: p.data.copy() for n, p in pre.partition_params("phoneme_stream").items()}
         apply_scenario(scenario, model, pretrained_arrays=pretrained)
         samples = make_samples(7, seed=52)
-        train_model(model, scenario, samples, samples[:2], Hyper(epochs=epochs, learning_rate=1e-2, batch_size=3),
-                    seed=53)
+        result = train_model(model, scenario, samples, samples[:2],
+                             Hyper(epochs=epochs, learning_rate=1e-2, batch_size=3), seed=53, cores=cores)
     (optimizer,) = RecordingAdam.made
+    optimizer.trace = result.trace
     return {n: p.data.copy() for n, p in model.parameters().items()}, optimizer
 
 
@@ -462,8 +465,95 @@ class TestOptimizerInBackward:
                     patch.setattr(ad, "backward", lambda loss, on_leaf=None: backward(loss))
                 tracemalloc.start()
                 try:
-                    train_model(model, S3, samples, [], Hyper(epochs=1, batch_size=5), seed=56)
+                    train_model(model, S3, samples, [], Hyper(epochs=1, batch_size=5), seed=56, cores=1)
                     peaks[plain] = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
         assert peaks[False] < peaks[True] - 25 * 2**20, peaks
+
+
+class TestTrainingCores:
+    """A batch of several packed groups splits them over forked gradient
+    workers; the parameters, Adam moments and losses do not change."""
+
+    @pytest.mark.parametrize("scenario", [S3, SCENARIOS["S2"]], ids=["S3", "S2"])
+    def test_outputs_are_bitwise_those_of_one_core(self, monkeypatch, scenario):
+        # make_samples draws 6-9 frames, so with a 9-frame limit every
+        # utterance is a group and a batch of 3 spans 3 groups
+        parent_groups = {}
+        train_group = training._train_group
+        for cores in (1, 2, 3):
+            parent_groups[cores] = []
+
+            def recording(model, scenario, group, *args, _log=parent_groups[cores]):
+                _log.append(group)
+                return train_group(model, scenario, group, *args)
+
+            monkeypatch.setattr(training, "_train_group", recording)
+            params, optimizer = trained(monkeypatch, scenario, pack_limit=9, cores=cores)
+            if cores == 1:
+                reference, reference_optimizer = params, optimizer
+                continue
+            assert params.keys() == reference.keys()
+            for name in params:
+                assert params[name].tobytes() == reference[name].tobytes(), (cores, name)
+            assert optimizer._m.keys() == reference_optimizer._m.keys()
+            for name in optimizer._m:
+                assert optimizer._m[name].tobytes() == reference_optimizer._m[name].tobytes(), (cores, name)
+                assert optimizer._v[name].tobytes() == reference_optimizer._v[name].tobytes(), (cores, name)
+            assert optimizer.trace == reference_optimizer.trace
+            assert optimizer.step_count == reference_optimizer.step_count
+        # each epoch's batches span 3, 3 and 1 groups; this process ran
+        # groups 0, cores, 2 * cores, ... of each, and the workers the rest
+        assert [len(parent_groups[c]) for c in (1, 2, 3)] == [14, 10, 6]
+
+    def test_nan_in_a_worker_group_raises_the_one_core_error(self, monkeypatch):
+        samples = make_samples(6, seed=57)
+        parent_groups = []
+        train_group = training._train_group
+
+        def recording(model, scenario, group, *args):
+            parent_groups.append([s.utterance_id for s in group])
+            return train_group(model, scenario, group, *args)
+
+        def run(samples, cores):
+            model = InversionModel(SMALL, seed=58)
+            apply_scenario(S3, model)
+            with pytest.raises(NumericalError) as exc:
+                train_model(model, S3, samples, [], Hyper(epochs=1, batch_size=3), seed=59, cores=cores)
+            return str(exc.value)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "pack_groups", functools.partial(pack_groups, limit=9))
+            patch.setattr(training, "_train_group", recording)
+            model = InversionModel(SMALL, seed=58)
+            apply_scenario(S3, model)
+            train_model(model, S3, samples, [], Hyper(epochs=1, batch_size=3), seed=59, cores=1)
+            # the second group of the first batch runs in worker 1 at 2 or 3 cores
+            (victim,) = parent_groups[1]
+            broken = [UtteranceSample(s.utterance_id, s.speaker_id, s.mfcc.copy(), s.phonemes, s.ema)
+                      for s in samples]
+            broken[int(victim[1:])].mfcc[0, 0] = np.nan
+            parent_groups.clear()
+            message = run(broken, 1)
+            assert message == f"non-finite training loss on utterance {victim}"
+            for cores in (2, 3):
+                parent_groups.clear()
+                assert run(broken, cores) == message
+                assert [victim] not in parent_groups
+
+    def test_worker_loop_ends_when_its_commands_end(self):
+        """A worker whose parent is gone reads end of file on its command
+        pipe and returns without running a group."""
+        model = InversionModel(SMALL, seed=60)
+        apply_scenario(S3, model)
+        params = [p for p in model.parameters().values() if p.requires_grad]
+        groups = [[s] for s in make_samples(2, seed=61)]
+        command_r, command_w = os.pipe()
+        result_r, result_w = os.pipe()
+        os.close(command_w)
+        with open(command_r, "rb", buffering=0) as commands, open(result_w, "wb") as results:
+            training._work(model, S3, params, [groups], (1.0, 1.0), 1, 2, commands, results)
+        with open(result_r, "rb") as results:
+            assert results.read() == b""
+        assert all(p.grad is None for p in params)
