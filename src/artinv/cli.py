@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, evaluation, gradcheck, openblas_function
+from . import dataio, evaluation, gradcheck, openblas_function, workers
 from .errors import ArtinvError, UsageError
 from .features import MfccConfig, feature_config_hash
 from .model import InversionModel, ModelConfig, SCENARIOS, apply_scenario
@@ -162,7 +162,7 @@ def _environment() -> dict:
         "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
         "openblas_corename": corename.decode() if corename is not None else None,
         "openblas_threads": openblas("scipy_openblas_get_num_threads64_", ctypes.c_int),
-        "usable_cores": evaluation.usable_cores(),
+        "usable_cores": workers.usable_cores(),
     }
 
 

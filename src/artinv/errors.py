@@ -23,7 +23,7 @@ class DataError(ArtinvError):
 
 
 class WorkerDied(ArtinvError):
-    """A forked worker process ended before it handed back its share."""
+    """A forked worker process ended before it handed back its results."""
 
     exit_code = 2
 

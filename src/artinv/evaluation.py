@@ -12,27 +12,24 @@ on disk, so a report is reproducible from its run directory alone.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
 import hashlib
 import logging
-import multiprocessing
 import time
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import dataio
+from . import dataio, workers
 from .dataio import create_text, load_checkpoint, save_checkpoint, write_csv, write_matrix_csv
 from .errors import DataError, NumericalError, UsageError, WorkerDied
 from .features import EMA_CHANNELS, TONGUE_CHANNELS, open_text, read_matrix_csv
 from .model import (
     InversionModel, ModelConfig, SCENARIOS, VARIANT_SPEECH_ONLY, apply_scenario,
 )
-from .training import Hyper, train_model, usable_cores
+from .training import Hyper, train_model
 
 log = logging.getLogger(__name__)
 
@@ -277,43 +274,18 @@ def _predict_share(model: InversionModel, scenario, samples, fold_dir: Path, ind
             _write_predictions(fold_dir, stream, sample.utterance_id, preds[stream])
 
 
-_worker_state = ()  # (model, scenario, samples, fold_dir), inherited by a forked share worker
-
-
-def _init_share_worker(*state) -> None:
-    global _worker_state
-    _worker_state = state
-
-
-def _predict_share_in_worker(indices) -> None:
-    _predict_share(*_worker_state, indices)
-
-
 def _predict_and_score(model: InversionModel, scenario, samples, fold_dir: Path, idx, shares: int) -> dict:
     """Predict each sample, write its target and scored-stream CSVs under
     ``fold_dir``, and score each stream from those files; returns stream
     name -> StreamScore.
 
     The samples are split into ``shares`` frame-balanced shares (at most one
-    per sample).  This process predicts share 0; each other share runs in a
-    worker forked from it, which inherits the model and samples instead of
-    unpickling them.  Every utterance's forward and files are the same
-    whichever process writes them, so the outputs do not depend on
-    ``shares``.  A worker that dies ends the call with WorkerDied."""
+    per sample), share ``i`` predicted in process ``i`` (0 is this one).
+    Every utterance's forward and files are the same whichever process
+    writes them, so the outputs do not depend on ``shares``."""
     plan = frame_shares([len(s.ema) for s in samples], max(1, min(shares, len(samples))))
-    state = (model, scenario, samples, fold_dir)
-    pool = contextlib.nullcontext()
-    if len(plan) > 1:
-        pool = ProcessPoolExecutor(len(plan) - 1, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_init_share_worker, initargs=state)
-    with pool:
-        futures = [pool.submit(_predict_share_in_worker, share) for share in plan[1:]]
-        _predict_share(*state, plan[0])
-        for future in futures:
-            try:
-                future.result()
-            except BrokenProcessPool:
-                raise WorkerDied(f"worker process died while predicting into {fold_dir}") from None
+    workers.spread(lambda share: _predict_share(model, scenario, samples, fold_dir, share), plan, len(plan),
+                   f"worker process died while predicting into {fold_dir}")
     return score_stream_dir(fold_dir, scenario.scored_streams, [s.utterance_id for s in samples], idx)
 
 
@@ -353,7 +325,7 @@ def run_fold(plan: FoldPlan, samples, scenario_id: str, hyper: Hyper, seed: int,
                     scenario=scenario_id, hyper=dataclasses.asdict(hyper), seed=seed)
     dataio.write_trace_csv(fold_dir / "trace.csv", result.trace)
 
-    # one share: the LOSO pool (--jobs) already spreads the folds over the cores
+    # one share: --jobs already spreads the folds over the cores
     idx, _ = channel_indices(channels)
     return FoldScore(index=plan.index, held_out_speaker=plan.held_out_speaker,
                      streams=_predict_and_score(model, scenario, test_samples, fold_dir, idx, shares=1))
@@ -364,28 +336,14 @@ def _failed_fold(plan: FoldPlan, message: str) -> FoldScore:
     return FoldScore(index=plan.index, held_out_speaker=plan.held_out_speaker, failed=message)
 
 
-def _run_fold_job(plan: FoldPlan, *args) -> FoldScore:
-    try:
-        return run_fold(plan, *args)
-    except (DataError, NumericalError, WorkerDied) as exc:
-        return _failed_fold(plan, str(exc))
-
-
-def _pooled_fold(plan: FoldPlan, future) -> FoldScore:
-    try:
-        return future.result()
-    except BrokenProcessPool:
-        return _failed_fold(plan, "worker process died")
-
-
 def run_loso(samples, scenario_id: str, hyper: Hyper, seed: int, out_dir,
              model_config: ModelConfig | None = None, channels: str = "tongue",
              jobs: int = 1, feature_hash: str = "") -> EvalReport:
     """Full leave-one-speaker-out protocol: one fold per speaker, reports
     written under ``out_dir`` (report.csv, report.txt, per-fold trees).
-    The folds run ``jobs`` at a time, each training on its share of the
-    usable cores.  If a worker of the ``jobs`` > 1 pool dies, every
-    unfinished fold fails."""
+    Fold ``i`` runs in process ``i % jobs``: 0 is this one, and each other
+    is forked from it.  Each fold trains on its share of the usable cores.
+    A fold worker that dies fails the folds it had not finished."""
     if scenario_id not in SCENARIOS:
         raise UsageError(f"unknown scenario {scenario_id!r}")
     model_config = model_config or ModelConfig(
@@ -395,15 +353,17 @@ def run_loso(samples, scenario_id: str, hyper: Hyper, seed: int, out_dir,
     idx, names = channel_indices(channels)
 
     started = time.monotonic()
-    cores = max(1, usable_cores() // jobs)
-    fold_args = [(plan, samples, scenario_id, hyper, seed, model_config, out_dir / "folds" / plan.held_out_speaker,
-                  feature_hash, channels, cores) for plan in plans]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_fold_job, *args) for args in fold_args]
-        folds = [_pooled_fold(plan, future) for plan, future in zip(plans, futures)]
-    else:
-        folds = [_run_fold_job(*args) for args in fold_args]
+    cores = max(1, workers.usable_cores() // jobs)
+
+    def run(plan: FoldPlan) -> FoldScore:
+        try:
+            return run_fold(plan, samples, scenario_id, hyper, seed, model_config,
+                            out_dir / "folds" / plan.held_out_speaker, feature_hash, channels, cores)
+        except (DataError, NumericalError, WorkerDied) as exc:
+            return _failed_fold(plan, str(exc))
+
+    folds = workers.spread(run, plans, jobs, "worker process died",
+                           lost=lambda plan: _failed_fold(plan, "worker process died"))
     elapsed = time.monotonic() - started
 
     # grand means only exist when every fold trained; failed folds stay
@@ -517,7 +477,7 @@ def evaluate_model(ckpt: dataio.Checkpoint, model: InversionModel, samples, out_
     idx, names = channel_indices(channels)
     fold_score = FoldScore(index=0, held_out_speaker="all",
                            streams=_predict_and_score(model, scenario, samples, fold_dir, idx,
-                                                      shares=usable_cores()))
+                                                      shares=workers.usable_cores()))
     report = EvalReport(scenario=scenario.id, seed=ckpt.seed or 0, channel_names=names,
                         folds=[fold_score], grand=grand_scores([fold_score], scenario.scored_streams))
     write_report(report, out_dir)

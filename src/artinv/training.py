@@ -7,58 +7,41 @@ packed ``[sum(T), .]`` arrays, the sequence layers keeping the utterances
 apart by their lengths, and one backward; an utterance longer than the
 limit runs alone.  The limit bounds the tape a group holds at once.
 
-In one process, the Adam step runs inside the last group's backward:
-``backward`` hands each parameter to ``Adam.update`` once its gradient is
-final, which updates it and drops the gradient, so a batch never holds all
-gradients at once.  The batch still opens with ``zero_grad`` and closes
-with ``step``, which updates any parameter backward did not reach.  The
-updates are bitwise those of a plain backward followed by ``step``.
-
-A batch of several groups trains on up to ``cores`` processes.  Before the
-first step ``train_model`` moves the trainable parameters into one shared
-anonymous mapping and forks its gradient workers, which hold no optimizer
-state.  Group ``i`` of such a batch runs, through the same
-``_train_group``, in process ``i % processes`` (0 is this one).  A worker
-streams each group's losses and gradients over a pipe as soon as the group
-is done, so it holds one group's gradients at most.  This process adds
-them to its own, in group order, and takes the batch's ``step`` once every
-group is in.  Each parameter gets one gradient term per group, so it sums
-``((g1 + g2) + g3) + ...`` as one process does: parameters, moments and
-losses are bitwise independent of the core count.
+Group ``i`` of a batch runs, through ``_train_group``, in process
+``i % n``: 0 is this one, and the others are gradient workers forked once
+per ``train_model`` after the trainable parameters move into one shared
+anonymous mapping (n is 1 on one core or without ``fork``).  A
+worker streams each group's losses and gradients back once the group is
+done, and this process adds them to its own in group order, so each
+parameter sums ``((g1 + g2) + g3) + ...`` as one process does.  The last
+group finishes each gradient, and ``Adam.update`` then updates that
+parameter and drops the gradient, so a batch never holds all gradients at
+once; ``step`` closes the batch, updating any parameter the last group did
+not reach.  Parameters, moments and losses are bitwise those of a plain
+backward and ``step`` in one process.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import logging
 import mmap
-import multiprocessing
 import os
-import pickle
-import signal
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from . import workers
 from .autodiff import ShapeError, Tensor
-from .errors import DataError, NumericalError, UsageError, WorkerDied
+from .errors import DataError, NumericalError, UsageError
 from .layers import Adam
 from .model import InversionModel, Scenario, scenario_loss
 
 log = logging.getLogger(__name__)
 
 PACK_FRAMES = 512
-
-
-def usable_cores() -> int:
-    """Cores this process may run on: how many processes a training batch
-    of several groups is split over and ``artinv eval`` predicts in.  1
-    where processes cannot be forked, since a worker inherits the model
-    rather than unpickling it."""
-    if "fork" not in multiprocessing.get_all_start_methods() or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
 
 
 @dataclass(frozen=True)
@@ -169,12 +152,10 @@ def train_model(model: InversionModel, scenario: Scenario, train_samples, val_sa
 
     The model's trainability must already be configured (apply_scenario).
     Targets are z-scored with statistics from the training samples.  Each
-    batch is packed into groups of at most ``PACK_FRAMES`` frames; each group
-    runs one forward and one backward of its summed per-utterance losses
-    weighted by 1/batch size, and the batch takes one Adam step.  The groups
-    of a batch that packs into several are split over up to ``cores``
-    processes (default ``usable_cores()``); the result does not depend on
-    ``cores``.
+    group runs one forward and one backward of its summed per-utterance
+    losses weighted by 1/batch size, and the batch takes one Adam step.  A
+    batch's groups are split over up to ``cores`` processes (default
+    ``workers.usable_cores()``); the result does not depend on ``cores``.
     """
     usable = [s for s in train_samples if s.ema.shape[0] > 0]
     skipped = [s.utterance_id for s in train_samples if s.ema.shape[0] == 0]
@@ -189,18 +170,18 @@ def train_model(model: InversionModel, scenario: Scenario, train_samples, val_sa
         raise DataError(f"scenario {scenario.id}: nothing to train")
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     plan = _batch_plan(usable, hyper, shuffle_rng)
-    processes = min(usable_cores() if cores is None else cores,
+    processes = min(workers.usable_cores() if cores is None else cores,
                     max(len(groups) for batches in plan for groups in batches))
 
+    params = list(trainable.values())
     trace = []
-    with _gradient_workers(model, scenario, list(trainable.values()), plan, hyper.loss_weights,
-                           processes) as workers:
+    with _gradient_workers(model, scenario, params, plan, hyper.loss_weights, processes) as forked:
         optimizer = Adam(trainable, learning_rate=hyper.learning_rate)
         for epoch, batches in enumerate(plan, start=1):
             epoch_losses = []
             for groups in batches:
                 optimizer.zero_grad()
-                epoch_losses += _train_batch(model, scenario, groups, hyper.loss_weights, optimizer, workers)
+                epoch_losses += _train_batch(model, scenario, groups, hyper.loss_weights, optimizer, params, forked)
                 optimizer.step()
             train_loss = float(np.mean(epoch_losses))
             val_loss = evaluate_loss(model, scenario, val_samples, hyper.loss_weights) if val_samples else float("nan")
@@ -209,38 +190,27 @@ def train_model(model: InversionModel, scenario: Scenario, train_samples, val_sa
     return TrainResult(trace=trace, skipped=skipped)
 
 
-def _train_batch(model: InversionModel, scenario: Scenario, groups, weights, optimizer: Adam, workers) -> list:
-    """Forward and backward of one batch's groups; returns the per-utterance
-    losses in batch order.  Every gradient of the batch is then summed on
-    its parameter, or already applied by ``optimizer``."""
+def _train_batch(model: InversionModel, scenario: Scenario, groups, weights, optimizer: Adam, params,
+                 forked) -> list:
+    """One batch's groups on this process and the ``forked`` workers;
+    returns the per-utterance losses in batch order.  Every worker group
+    comes before the last and has been read by the time ``optimizer``
+    updates there, so no worker reads a parameter while it changes."""
     inv_count = 1.0 / sum(map(len, groups))
-    if len(groups) == 1 or not workers:
-        values = []
-        for i, group in enumerate(groups, start=1):
-            # the last group's backward finishes each gradient, and the
-            # optimizer updates that parameter there and then
-            on_leaf = optimizer.update if i == len(groups) else None
-            values += _train_group(model, scenario, group, weights, inv_count, on_leaf)
-        return values
-    # the workers read the parameters until their last group is done, so
-    # every update waits for the batch's ``step``
-    processes = len(workers) + 1
-    for worker in workers[:len(groups) - 1]:
+    n = len(forked) + 1
+    for worker in forked[:len(groups) - 1]:
         worker.go()
     values = []
     for i, group in enumerate(groups):
-        if i % processes:
-            values += workers[i % processes - 1].receive(group)
+        on_leaf = optimizer.update if i == len(groups) - 1 else None
+        if i % n:
+            values += _receive(forked[i % n - 1], params, on_leaf)
         else:
-            values += _train_group(model, scenario, group, weights, inv_count)
+            values += _train_group(model, scenario, group, weights, inv_count, on_leaf)
     return values
 
 
 # -- gradient workers -----------------------------------------------------------
-
-_DONE, _FAILED = b"d", b"f"  # the first byte of each group's result
-_DIED = "training worker process died"
-
 
 def _share(params) -> None:
     """Move the arrays of ``params`` into one shared anonymous mapping, so
@@ -254,40 +224,25 @@ def _share(params) -> None:
         offset += shared.nbytes
 
 
-@contextlib.contextmanager
 def _gradient_workers(model: InversionModel, scenario: Scenario, params, plan, weights, processes: int):
-    """Fork ``processes - 1`` gradient workers for the batches of ``plan``
-    that pack into several groups, after sharing ``params``; yields this
-    process's end of each (none for fewer than 2 processes or without
-    ``fork``).  Every worker is reaped on the way out; after an error or an
-    interrupt it is killed first."""
+    """A context that shares ``params`` and forks ``processes - 1`` workers
+    for the batches of ``plan`` of several groups, yielding them (none for
+    fewer than 2 processes or without ``fork``)."""
     if processes < 2 or not hasattr(os, "fork"):
-        yield []
-        return
+        return contextlib.nullcontext([])
     _share(params)
     split = [groups for batches in plan for groups in batches if len(groups) > 1]
-    workers = []
-    try:
-        for slot in range(1, processes):
-            workers.append(_GradientWorker.fork(model, scenario, params, split, weights, (slot, processes), workers))
-        yield workers
-    except BaseException:
-        for worker in workers:
-            worker.kill()
-        raise
-    finally:
-        for worker in workers:
-            worker.close()
+    return workers.forked([functools.partial(_work, model, scenario, params, split, weights, slot, processes)
+                           for slot in range(1, processes)], "training worker process died")
 
 
 def _work(model: InversionModel, scenario: Scenario, params, split, weights, slot: int, processes: int,
           commands, results) -> None:
     """The loop of gradient worker ``slot`` of ``processes``: for each batch
     in ``split`` with groups ``slot``, ``slot + processes``, ..., wait for a
-    byte on ``commands``, then run each of those groups and write its
-    losses and gradients to ``results``, releasing each gradient once it is
-    written.  Returns when ``commands`` ends (the parent closed it, or is
-    gone) or after writing a group's error."""
+    byte on ``commands``, then run each of those groups and send its losses
+    and the mask of ``params`` with a gradient, then those gradients raw,
+    releasing each once written.  Returns when ``commands`` ends."""
     for p in params:
         p.grad = None
     for groups in split:
@@ -298,14 +253,8 @@ def _work(model: InversionModel, scenario: Scenario, params, split, weights, slo
             return
         inv_count = 1.0 / sum(map(len, groups))
         for group in mine:
-            try:
-                values = _train_group(model, scenario, group, weights, inv_count)
-            except Exception as exc:  # the parent raises it in group order
-                payload = pickle.dumps(exc)
-                results.write(_FAILED + len(payload).to_bytes(8, "little") + payload)
-                results.flush()
-                return
-            results.write(_DONE + np.array(values).tobytes() + bytes(p.grad is not None for p in params))
+            values = _train_group(model, scenario, group, weights, inv_count)
+            workers.send(results, (values, [p.grad is not None for p in params]))
             for p in params:
                 if p.grad is not None:
                     results.write(memoryview(np.ascontiguousarray(p.grad)).cast("B"))
@@ -313,88 +262,20 @@ def _work(model: InversionModel, scenario: Scenario, params, split, weights, slo
             results.flush()
 
 
-class _GradientWorker:
-    """This process's end of one forked gradient worker: the pipe that
-    starts the worker's groups of a batch, and the pipe their losses and
-    gradients come back on."""
-
-    def __init__(self, pid: int, params, commands, results):
-        self.pid = pid
-        self.params = params
-        self.commands = commands  # unbuffered
-        self.results = results
-
-    @classmethod
-    def fork(cls, model, scenario, params, split, weights, slot, earlier) -> _GradientWorker:
-        """Fork worker ``slot`` (its index and the process count).  The child
-        closes every pipe end but its own two, including those of the
-        ``earlier`` workers, so each pipe ends when this process does; it
-        ignores SIGINT (this process ends it) and leaves by ``os._exit``."""
-        command_r, command_w = os.pipe()
-        result_r, result_w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (command_r, command_w, result_r, result_w):
-                os.close(fd)
-            raise
-        if pid == 0:
-            code = 1
-            try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                for fd in (command_w, result_r):
-                    os.close(fd)
-                for worker in earlier:
-                    worker.commands.close()
-                    worker.results.close()
-                with open(command_r, "rb", buffering=0) as commands, open(result_w, "wb") as results:
-                    _work(model, scenario, params, split, weights, *slot, commands, results)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(command_r)
-        os.close(result_w)
-        return cls(pid, params, open(command_w, "wb", buffering=0), open(result_r, "rb"))
-
-    def _read(self, size: int) -> bytes:
-        data = self.results.read(size)
-        if len(data) < size:
-            raise WorkerDied(_DIED)
-        return data
-
-    def go(self) -> None:
-        """Start the worker's groups of the next batch that has any."""
-        try:
-            self.commands.write(b"\x01")
-        except BrokenPipeError:
-            raise WorkerDied(_DIED) from None
-
-    def receive(self, group) -> list:
-        """The losses of the worker's next group, ``group``; its gradients are
-        added to those the parameters hold, as one more backward would."""
-        if self._read(1) == _FAILED:
-            raise pickle.loads(self._read(int.from_bytes(self._read(8), "little")))
-        values = np.frombuffer(self._read(8 * len(group))).tolist()
-        for p, sent in zip(self.params, self._read(len(self.params))):
-            if sent:
-                g = np.empty(p.data.shape)
-                if self.results.readinto(memoryview(g).cast("B")) < g.nbytes:
-                    raise WorkerDied(_DIED)
-                if p.grad is not None:
-                    np.add(p.grad, g, out=g)  # p.grad + g, into the buffer just read
-                p.grad = g
-        return values
-
-    def kill(self) -> None:
-        with contextlib.suppress(ProcessLookupError):
-            os.kill(self.pid, signal.SIGKILL)
-
-    def close(self) -> None:
-        """Close both pipes, which ends an idle worker, and reap it."""
-        self.commands.close()
-        self.results.close()
-        with contextlib.suppress(ChildProcessError):
-            os.waitpid(self.pid, 0)
+def _receive(worker: workers.Worker, params, on_leaf) -> list:
+    """The losses of the worker's next group, whose gradients are added to
+    those of ``params`` as one more backward would, each then to ``on_leaf``."""
+    values, sent = worker.receive()
+    for p, has_grad in zip(params, sent):
+        if has_grad:
+            g = np.empty(p.data.shape)
+            worker.readinto(memoryview(g).cast("B"))
+            if p.grad is not None:
+                np.add(p.grad, g, out=g)  # p.grad + g, into the buffer just read
+            p.grad = g
+            if on_leaf is not None:
+                on_leaf(p)
+    return values
 
 
 def evaluate_loss(model: InversionModel, scenario: Scenario, samples, weights=(1.0, 1.0)) -> float:

@@ -4,10 +4,11 @@ import csv
 import functools
 import hashlib
 import json
-import multiprocessing
 import os
 import subprocess
+import signal
 import sys
+import time
 import types
 import wave
 from pathlib import Path
@@ -16,13 +17,14 @@ import numpy as np
 import pytest
 
 import artinv
-from artinv import evaluation, training
+from artinv import evaluation, training, workers
 from artinv.cli import main
 from artinv.dataio import load_checkpoint, load_manifest, model_from_checkpoint, save_checkpoint
 from artinv.errors import DataError
 from artinv.features import MfccConfig, feature_config_hash
 from artinv.model import InversionModel, ModelConfig, SCENARIOS, apply_scenario
 from forging import seal, unseal, with_value
+from forks import assert_reaped, exit_statuses, forked_pids
 
 TINY_SYNTH = ["--speakers", "2", "--utts", "2", "--dur_min", "3", "--dur_max", "5",
               "--phones_min", "1", "--phones_max", "2"]
@@ -233,7 +235,7 @@ class TestEval:
         environment = json.loads((run_dir / "environment.json").read_text())
         assert set(environment) == {"python", "numpy", "blas", "openblas_corename", "openblas_threads",
                                     "usable_cores"}
-        assert environment["usable_cores"] == evaluation.usable_cores() >= 1
+        assert environment["usable_cores"] == workers.usable_cores() >= 1
         if environment["openblas_threads"] is not None:
             assert environment["openblas_threads"] == 1 and environment["openblas_corename"]
         assert not set(environment) & set(json.loads((run_dir / "config.json").read_text()))
@@ -248,10 +250,12 @@ class TestEval:
         manifest = synth(tmp_path)
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, InversionModel(SMALL, seed=1), feature_config_hash(MfccConfig()))
-        monkeypatch.setattr(evaluation, "usable_cores", lambda: 3)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 3)
+        pids = forked_pids(monkeypatch)
         argv = ["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt)]
         assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
-        assert multiprocessing.active_children() == []
+        assert len(pids) == 2
+        assert_reaped(pids)
 
         caller = os.getpid()
         predict = InversionModel.predict
@@ -265,7 +269,8 @@ class TestEval:
         capsys.readouterr()
         assert main(argv + ["--out", str(tmp_path / "failed")]) == 2
         assert "predict failed in a share worker" in capsys.readouterr().err
-        assert multiprocessing.active_children() == []
+        assert len(pids) == 4
+        assert_reaped(pids)
 
 
 def files_under(root: Path) -> dict:
@@ -377,38 +382,42 @@ def test_unusable_eval_checkpoint_leaves_no_run_directory(tmp_path, capsys, faul
 
 
 def test_dead_fold_worker_fails_the_unfinished_folds(tmp_path, capfd, monkeypatch):
-    """A LOSO pool worker killed outright fails its fold and every fold the
-    broken pool had not finished: the report still lists every fold, and the
-    command exits 2 with one error line."""
-    manifest = synth(tmp_path, extra=["--speakers", "3"])
+    """A LOSO fold worker killed outright fails its own unfinished folds
+    (1 and 3); the folds this process runs (0 and 2) still score.  The
+    report lists every fold, and the command exits 2 with one error line."""
+    manifest = synth(tmp_path, extra=["--speakers", "4"])
     caller = os.getpid()
     run_fold = evaluation.run_fold
 
     def dies_in_a_worker(plan, *args):
-        if os.getpid() != caller and plan.index == 0:
+        if os.getpid() != caller and plan.index == 1:
             os._exit(9)
         return run_fold(plan, *args)
 
     monkeypatch.setattr(evaluation, "run_fold", dies_in_a_worker)
+    pids = forked_pids(monkeypatch)
     out = tmp_path / "loso"
     capfd.readouterr()
     assert main(["loso", "--manifest", str(manifest), "--scenario", "S1", "--out", str(out), "--seed", "0",
                  *FAST_TRAIN, "--jobs", "2"]) == 2
     err = capfd.readouterr().err
-    assert err.startswith("artinv: error: fold(s) failed") and "s01: worker process died" in err
+    assert err.startswith("artinv: error: fold(s) failed")
+    assert "s02: worker process died; s04: worker process died" in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     rows = evaluation.read_report_csv(next(out.glob("loso-*")) / "report.csv")
-    assert [r["held_out_speaker"] for r in rows] == ["s01", "s02", "s03"]
-    assert rows[0]["scope"] == "fold_failed" and rows[0]["stream"] == "worker process died"
-    assert all(r["scope"] == "fold" or r["stream"] == "worker process died" for r in rows)
-    assert multiprocessing.active_children() == []
+    assert [(r["held_out_speaker"], r["scope"]) for r in rows] == [
+        ("s01", "fold"), ("s02", "fold_failed"), ("s03", "fold"), ("s04", "fold_failed")]
+    assert all(r["stream"] == "worker process died" for r in rows if r["scope"] == "fold_failed")
+    assert all(float(r["rmse_mm"]) > 0 for r in rows if r["scope"] == "fold")
+    assert len(pids) == 1
+    assert_reaped(pids)
 
 
 def test_dead_share_worker_is_one_error_line(tmp_path, capfd, monkeypatch):
     manifest = synth(tmp_path)
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, InversionModel(SMALL, seed=1), feature_config_hash(MfccConfig()))
-    monkeypatch.setattr(evaluation, "usable_cores", lambda: 3)
+    monkeypatch.setattr(workers, "usable_cores", lambda: 3)
     caller = os.getpid()
     predict = InversionModel.predict
 
@@ -418,40 +427,20 @@ def test_dead_share_worker_is_one_error_line(tmp_path, capfd, monkeypatch):
         return predict(self, mfcc, phonemes)
 
     monkeypatch.setattr(InversionModel, "predict", dies_in_workers)
+    pids = forked_pids(monkeypatch)
     capfd.readouterr()
     assert main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")]) == 2
     err = capfd.readouterr().err
     assert err.startswith("artinv: error: worker process died while predicting into ")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert multiprocessing.active_children() == []
-
-
-def forked_pids(monkeypatch) -> list:
-    """Record the pid of every process forked from here on."""
-    pids = []
-    fork = os.fork
-
-    def recording():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording)
-    return pids
-
-
-def assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
+    assert len(pids) == 2
+    assert_reaped(pids)
 
 
 def split_every_batch(monkeypatch, cores=2):
     """Every utterance a packed group of its own, on ``cores`` usable cores."""
     monkeypatch.setattr(training, "pack_groups", functools.partial(training.pack_groups, limit=1))
-    monkeypatch.setattr(training, "usable_cores", lambda: cores)
-    monkeypatch.setattr(evaluation, "usable_cores", lambda: cores)
+    monkeypatch.setattr(workers, "usable_cores", lambda: cores)
 
 
 def die_in_training_workers(monkeypatch):
@@ -518,6 +507,92 @@ def test_interrupted_training_leaves_no_worker(tmp_path, monkeypatch):
     assert len(pids) == 2
     assert_reaped(pids)
 
+
+
+def test_dead_fold_worker_does_not_wait_for_its_gradient_workers(tmp_path, capfd, monkeypatch):
+    """A fold worker killed while its own gradient worker runs a group fails
+    its fold at once: that gradient worker holds no end of the fold
+    worker's pipes, so the command exits 2 while it still runs."""
+    manifest = synth(tmp_path, extra=["--speakers", "3", "--utts", "4"])
+    split_every_batch(monkeypatch, cores=4)  # with --jobs 2, every fold trains on 2 processes
+    caller = os.getpid()
+    run_fold, train_group = evaluation.run_fold, training._train_group
+    fold_worker = []
+    grandchild = tmp_path / "grandchild.pid"
+
+    def marks_the_fold_worker(plan, *args):
+        if os.getpid() != caller:
+            fold_worker.append(os.getpid())
+        return run_fold(plan, *args)
+
+    def dies_beside_its_gradient_worker(*args):
+        if fold_worker and os.getpid() == fold_worker[0]:
+            os._exit(9)  # its gradient worker has started the batch's second group
+        if fold_worker:
+            (tmp_path / "pid").write_text(str(os.getpid()))
+            os.replace(tmp_path / "pid", grandchild)
+            time.sleep(60)
+        return train_group(*args)
+
+    monkeypatch.setattr(evaluation, "run_fold", marks_the_fold_worker)
+    monkeypatch.setattr(training, "_train_group", dies_beside_its_gradient_worker)
+    pids = forked_pids(monkeypatch)
+    out = tmp_path / "loso"
+    capfd.readouterr()
+    started = time.monotonic()
+    assert main(["loso", "--manifest", str(manifest), "--scenario", "S1", "--out", str(out), "--seed", "0",
+                 *FAST_TRAIN, "--jobs", "2"]) == 2
+    assert time.monotonic() - started < 30  # the gradient worker sleeps for 60 s
+    err = capfd.readouterr().err
+    assert err.startswith("artinv: error: fold(s) failed") and "s02: worker process died" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    for _ in range(100):  # the gradient worker may not have started its group yet
+        if grandchild.exists():
+            break
+        time.sleep(0.1)
+    os.kill(int(grandchild.read_text()), signal.SIGKILL)
+    assert len(pids) == 3  # the fold worker and a gradient worker for each fold run here
+    assert_reaped(pids)
+
+
+@pytest.mark.parametrize("command", ["loso", "eval"])
+def test_interrupt_kills_and_reaps_every_worker(tmp_path, monkeypatch, command):
+    """A KeyboardInterrupt in this process, during ``loso --jobs 2`` or a
+    3-share ``eval``, kills each worker, still busy, and reaps it."""
+    manifest = synth(tmp_path, extra=["--speakers", "3"])
+    caller = os.getpid()
+    if command == "loso":
+        run_fold = evaluation.run_fold
+
+        def interrupted(plan, *args):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return run_fold(plan, *args)
+
+        monkeypatch.setattr(evaluation, "run_fold", interrupted)
+        argv = ["loso", "--manifest", str(manifest), "--scenario", "S1", "--seed", "0", *FAST_TRAIN, "--jobs", "2"]
+    else:
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, InversionModel(SMALL, seed=1), feature_config_hash(MfccConfig()))
+        monkeypatch.setattr(workers, "usable_cores", lambda: 3)
+        predict = InversionModel.predict
+
+        def interrupted(self, mfcc, phonemes):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return predict(self, mfcc, phonemes)
+
+        monkeypatch.setattr(InversionModel, "predict", interrupted)
+        argv = ["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt)]
+    pids = forked_pids(monkeypatch)
+    statuses = exit_statuses(monkeypatch)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert len(pids) == (1 if command == "loso" else 2)
+    assert_reaped(pids)
+    assert all(os.WIFSIGNALED(statuses[pid]) and os.WTERMSIG(statuses[pid]) == signal.SIGKILL for pid in pids)
 
 PARENT_DIES = """
 import functools, os, sys
@@ -621,6 +696,16 @@ class TestLoso:
                      "--out", str(tmp_path / "loso"), "--seed", "0", *FAST_TRAIN])
         assert code == 2
         assert "degenerate" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_process_pool():
+    """Workers are forked directly, so no command imports the modules of
+    ``concurrent.futures`` or ``multiprocessing``."""
+    code = ("import sys, artinv.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(artinv.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_import_loads_no_scipy():

@@ -2,7 +2,6 @@
 
 import functools
 import hashlib
-import multiprocessing
 import os
 import threading
 
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from artinv import evaluation as ev
-from artinv import training
+from artinv import training, workers
 from artinv.dataio import (
     SyntheticSpec, generate_synthetic, load_checkpoint, load_manifest, model_from_checkpoint, save_checkpoint,
 )
@@ -20,6 +19,7 @@ from artinv.evaluation import make_fold_plans, pcc, rmse, run_ablation, run_loso
 from artinv.features import MfccConfig, feature_config_hash
 from artinv.model import InversionModel, ModelConfig, SCENARIOS
 from artinv.training import Hyper
+from forks import assert_reaped, forked_pids, threads_at_fork
 from oracles import rmse_oracle
 
 TINY = ModelConfig(
@@ -245,31 +245,25 @@ def test_parallel_folds_match_sequential(tmp_path):
 
 
 def test_no_training_thread_is_alive_when_the_fold_pool_forks(tmp_path, monkeypatch):
-    """Folds first train in this process (jobs=1); when a jobs=2 pool then
-    forks its workers, only the threads that ran before training exist."""
+    """Folds first train in this process (jobs=1); when jobs=2 then forks
+    its fold worker, only the threads that ran before training exist."""
     samples = corpus(tmp_path, speakers=2, utts=2, seed=20)
     hyper = Hyper(epochs=1, batch_size=2)
+    monkeypatch.setattr(workers, "usable_cores", lambda: 2)  # one process per fold
     before = set(threading.enumerate())
     run_loso(samples, "S1", hyper, seed=21, out_dir=tmp_path / "seq", model_config=TINY)
-    at_fork = []
-
-    class RecordingPool(ev.ProcessPoolExecutor):
-        def submit(self, *args, **kwargs):
-            at_fork.append(set(threading.enumerate()))  # the first submit forks
-            return super().submit(*args, **kwargs)
-
-    monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingPool)
+    at_fork = threads_at_fork(monkeypatch)
     run_loso(samples, "S1", hyper, seed=21, out_dir=tmp_path / "par", model_config=TINY, jobs=2)
-    assert len(at_fork) == 2 and at_fork[0] == before  # one submit per fold
+    assert at_fork == [before]  # fold 1's worker; fold 0 runs here
 
 
 @pytest.mark.parametrize("jobs, forks", [(1, True), (2, False)])
 def test_folds_share_the_usable_cores(tmp_path, monkeypatch, jobs, forks):
     """Each fold trains on usable_cores() // jobs processes: with 2 cores,
     --jobs 1 forks a gradient worker per fold and --jobs 2 forks none,
-    since the fold pool already fills both cores."""
+    since the two fold processes already fill both cores."""
     samples = corpus(tmp_path, speakers=2, utts=4, seed=22)
-    monkeypatch.setattr(ev, "usable_cores", lambda: 2)
+    monkeypatch.setattr(workers, "usable_cores", lambda: 2)
     monkeypatch.setattr(training, "pack_groups", functools.partial(training.pack_groups, limit=1))
     log = tmp_path / "shared.log"
     share = training._share
@@ -301,12 +295,13 @@ class TestShares:
         assert ev.frame_shares([15, 35, 55, 75, 15, 35, 55, 75], 2) == [[0, 1, 2, 3], [4, 5, 6, 7]]
         assert ev.frame_shares([5, 5, 5], 2) == [[0, 2], [1]]
 
-    def test_outputs_do_not_depend_on_the_share_count(self, tmp_path):
+    def test_outputs_do_not_depend_on_the_share_count(self, tmp_path, monkeypatch):
         """Shares 1.. run in forked workers; every prediction CSV and every
         score is the same as with one share."""
         samples = corpus(tmp_path, speakers=2, utts=3, seed=22)
         model = InversionModel(TINY, seed=23)
         idx, _ = ev.channel_indices("tongue")
+        pids = forked_pids(monkeypatch)
         digests, scores = [], []
         for shares in (1, 2, 3):
             fold_dir = tmp_path / f"shares-{shares}"
@@ -323,7 +318,8 @@ class TestShares:
                 assert other[stream].rmse_mean == score.rmse_mean and other[stream].pcc_mean == score.pcc_mean
                 np.testing.assert_array_equal(other[stream].rmse_channels, score.rmse_channels)
                 np.testing.assert_array_equal(other[stream].pcc_channels, score.pcc_channels)
-        assert multiprocessing.active_children() == []
+        assert len(pids) == 0 + 1 + 2
+        assert_reaped(pids)
 
     def test_worker_error_reaches_the_caller(self, tmp_path, monkeypatch):
         samples = corpus(tmp_path, speakers=2, utts=2, seed=24)
@@ -337,11 +333,13 @@ class TestShares:
 
         monkeypatch.setattr(InversionModel, "predict", fails_in_workers)
         idx, _ = ev.channel_indices("tongue")
+        pids = forked_pids(monkeypatch)
         with pytest.raises(DataError, match=r"predict failed in process \d+") as exc:
             ev._predict_and_score(InversionModel(TINY, seed=25), SCENARIOS["S3"], samples,
                                   tmp_path / "fold", idx, shares=2)
         assert str(caller) not in str(exc.value)
-        assert multiprocessing.active_children() == []
+        assert len(pids) == 1
+        assert_reaped(pids)
 
     def test_no_thread_is_alive_when_eval_forks_its_share_workers(self, tmp_path, monkeypatch):
         """A forked child holds only the forking thread, so the checkpoint
@@ -349,15 +347,8 @@ class TestShares:
         samples = corpus(tmp_path, speakers=2, utts=2, seed=26)
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, InversionModel(TINY, seed=27), "")
-        monkeypatch.setattr(ev, "usable_cores", lambda: 2)
-        at_fork = []
-
-        class RecordingPool(ev.ProcessPoolExecutor):
-            def submit(self, *args, **kwargs):
-                at_fork.append(set(threading.enumerate()))  # the first submit forks
-                return super().submit(*args, **kwargs)
-
-        monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
+        at_fork = threads_at_fork(monkeypatch)
         before = set(threading.enumerate())
         loaded = load_checkpoint(ckpt)
         ev.evaluate_model(loaded, model_from_checkpoint(loaded), samples, tmp_path / "eval")
