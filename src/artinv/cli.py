@@ -145,7 +145,7 @@ def _environment() -> dict:
     """What the output bytes rest on besides the configuration: the Python,
     numpy and BLAS builds, OpenBLAS's core kernel and thread count (None
     without numpy's scipy-openblas library), and the usable cores, which set
-    how many shares ``eval`` predicts in and how many processes training
+    how many processes ``eval`` predicts on and how many processes training
     splits a batch of several groups over; neither changes the bytes."""
     def openblas(name, restype):
         function = openblas_function(name)

@@ -297,8 +297,7 @@ class Checkpoint:
     hyper: dict
     feature_config_hash: str
     model_config: dict
-    arrays: dict = field(default_factory=dict)     # name -> float64 array
-    partitions: dict = field(default_factory=dict)  # name -> partition tag
+    arrays: dict = field(default_factory=dict)  # name -> float64 array
 
 
 def save_checkpoint(path, model: InversionModel, feature_hash: str,
@@ -393,7 +392,6 @@ def load_checkpoint(path) -> Checkpoint:
 
     _check_header(header, path)
     arrays = {}
-    partitions = {}
     offset = head_len + header_len
     for entry in header["arrays"]:
         shape = tuple(entry["shape"])
@@ -404,7 +402,6 @@ def load_checkpoint(path) -> Checkpoint:
         array = np.frombuffer(body, dtype="<f8", count=count, offset=offset).reshape(shape)
         array.flags.writeable = False
         arrays[entry["name"]] = array
-        partitions[entry["name"]] = entry["partition"]
         offset += nbytes
     if offset != len(body):
         raise CheckpointIntegrityError(f"{path}: {len(body) - offset} unexpected trailing bytes")
@@ -416,7 +413,6 @@ def load_checkpoint(path) -> Checkpoint:
         feature_config_hash=header["feature_config_hash"],
         model_config=header["model_config"],
         arrays=arrays,
-        partitions=partitions,
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import logging
 import time
@@ -104,7 +105,7 @@ def split_train_val(samples, seed: int, val_fraction: float = 0.2):
     return tuple(train_ids), tuple(val_ids)
 
 
-def make_fold_plans(samples, seed: int, val_fraction: float = 0.2) -> list[FoldPlan]:
+def make_fold_plans(samples, seed: int) -> list[FoldPlan]:
     """One fold per speaker: that speaker's utterances all become test data,
     the rest split 80/20 per-speaker stratified."""
     speakers = dataio.speakers_of(samples)
@@ -156,9 +157,6 @@ class EvalReport:
     channel_names: tuple
     folds: list
     grand: dict  # stream name -> StreamScore (fold-mean aggregates)
-
-    def grand_rmse(self, stream: str) -> float:
-        return self.grand[stream].rmse_mean
 
 
 def channel_indices(channels: str):
@@ -247,53 +245,38 @@ def _write_predictions(fold_dir: Path, stream: str, utterance_id: str, matrix: n
                      header=("frame",) + EMA_CHANNELS)
 
 
-def frame_shares(frames, count: int) -> list[list[int]]:
-    """Split the indices of utterances with ``frames`` frames into ``count``
-    shares of near-equal frame totals: the longest utterance first (ties by
-    index), each to the share with the fewest frames so far (ties by share
-    index).  The totals then differ by at most the longest utterance.  Each
-    share lists its indices in ascending order."""
-    shares = [[] for _ in range(count)]
-    totals = [0] * count
-    for i in sorted(range(len(frames)), key=lambda i: (-frames[i], i)):
-        k = min(range(count), key=lambda k: (totals[k], k))
-        shares[k].append(i)
-        totals[k] += frames[i]
-    return [sorted(share) for share in shares]
+def _predict_utterance(model: InversionModel, scenario, fold_dir: Path, sample) -> None:
+    """Predict ``sample`` and write its target and scored-stream CSVs under
+    ``fold_dir``."""
+    preds = model.predict(sample.mfcc if scenario.use_mfcc else None,
+                          sample.phonemes if scenario.use_phonemes else None)
+    _write_predictions(fold_dir, "target", sample.utterance_id, sample.ema)
+    for stream in scenario.scored_streams:
+        _write_predictions(fold_dir, stream, sample.utterance_id, preds[stream])
 
 
-def _predict_share(model: InversionModel, scenario, samples, fold_dir: Path, indices) -> None:
-    """Predict the samples at ``indices`` and write their target and
-    scored-stream CSVs under ``fold_dir``."""
-    for i in indices:
-        sample = samples[i]
-        preds = model.predict(sample.mfcc if scenario.use_mfcc else None,
-                              sample.phonemes if scenario.use_phonemes else None)
-        _write_predictions(fold_dir, "target", sample.utterance_id, sample.ema)
-        for stream in scenario.scored_streams:
-            _write_predictions(fold_dir, stream, sample.utterance_id, preds[stream])
-
-
-def _predict_and_score(model: InversionModel, scenario, samples, fold_dir: Path, idx, shares: int) -> dict:
+def _predict_and_score(model: InversionModel, scenario, samples, fold_dir: Path, idx, processes: int) -> dict:
     """Predict each sample, write its target and scored-stream CSVs under
     ``fold_dir``, and score each stream from those files; returns stream
     name -> StreamScore.
 
-    The samples are split into ``shares`` frame-balanced shares (at most one
-    per sample), share ``i`` predicted in process ``i`` (0 is this one).
-    Every utterance's forward and files are the same whichever process
-    writes them, so the outputs do not depend on ``shares``."""
-    plan = frame_shares([len(s.ema) for s in samples], max(1, min(shares, len(samples))))
-    workers.spread(lambda share: _predict_share(model, scenario, samples, fold_dir, share), plan, len(plan),
+    The utterance ranked r, longest first (ties in manifest order), is
+    predicted in process r mod n (n is ``processes``, at most one per
+    sample; 0 is this one), so the processes' frame totals differ by at
+    most the longest utterance.  Every utterance's forward and files are
+    the same whichever process writes them, so the outputs do not depend
+    on ``processes``."""
+    ranked = sorted(samples, key=lambda s: -len(s.ema))
+    workers.spread(functools.partial(_predict_utterance, model, scenario, fold_dir), ranked, processes,
                    f"worker process died while predicting into {fold_dir}")
     return score_stream_dir(fold_dir, scenario.scored_streams, [s.utterance_id for s in samples], idx)
 
 
 def run_fold(plan: FoldPlan, samples, scenario_id: str, hyper: Hyper, seed: int,
              model_config: ModelConfig, fold_dir, feature_hash: str, channels: str, cores: int = 1) -> FoldScore:
-    """Train one fold per its scenario on up to ``cores`` processes, persist
-    checkpoint/trace/predictions, and score the held-out speaker from the
-    persisted files."""
+    """Train one fold per its scenario and predict its held-out speaker, both
+    on up to ``cores`` processes; persist checkpoint/trace/predictions, and
+    score the held-out speaker from the persisted files."""
     scenario = SCENARIOS[scenario_id]
     fold_dir = Path(fold_dir)
     by_id = {s.utterance_id: s for s in samples}
@@ -325,10 +308,9 @@ def run_fold(plan: FoldPlan, samples, scenario_id: str, hyper: Hyper, seed: int,
                     scenario=scenario_id, hyper=dataclasses.asdict(hyper), seed=seed)
     dataio.write_trace_csv(fold_dir / "trace.csv", result.trace)
 
-    # one share: --jobs already spreads the folds over the cores
     idx, _ = channel_indices(channels)
     return FoldScore(index=plan.index, held_out_speaker=plan.held_out_speaker,
-                     streams=_predict_and_score(model, scenario, test_samples, fold_dir, idx, shares=1))
+                     streams=_predict_and_score(model, scenario, test_samples, fold_dir, idx, cores))
 
 
 def _failed_fold(plan: FoldPlan, message: str) -> FoldScore:
@@ -342,8 +324,9 @@ def run_loso(samples, scenario_id: str, hyper: Hyper, seed: int, out_dir,
     """Full leave-one-speaker-out protocol: one fold per speaker, reports
     written under ``out_dir`` (report.csv, report.txt, per-fold trees).
     Fold ``i`` runs in process ``i % jobs``: 0 is this one, and each other
-    is forked from it.  Each fold trains on its share of the usable cores.
-    A fold worker that dies fails the folds it had not finished."""
+    is forked from it.  Each fold trains and predicts on ``max(1, usable
+    cores // jobs)`` processes.  A fold worker that dies fails the folds
+    it had not finished."""
     if scenario_id not in SCENARIOS:
         raise UsageError(f"unknown scenario {scenario_id!r}")
     model_config = model_config or ModelConfig(
@@ -471,13 +454,13 @@ def read_report_csv(path) -> list[dict]:
 
 def evaluate_model(ckpt: dataio.Checkpoint, model: InversionModel, samples, out_dir, channels="tongue") -> EvalReport:
     """Score ``dataio.model_from_checkpoint(ckpt)`` on one manifest (no training,
-    no folds), predicting in one frame-balanced share per usable core."""
+    no folds), predicting on every usable core."""
     scenario = SCENARIOS[ckpt.scenario or "S3"]
     fold_dir = Path(out_dir) / "folds" / "all"
     idx, names = channel_indices(channels)
     fold_score = FoldScore(index=0, held_out_speaker="all",
                            streams=_predict_and_score(model, scenario, samples, fold_dir, idx,
-                                                      shares=workers.usable_cores()))
+                                                      workers.usable_cores()))
     report = EvalReport(scenario=scenario.id, seed=ckpt.seed or 0, channel_names=names,
                         folds=[fold_score], grand=grand_scores([fold_score], scenario.scored_streams))
     write_report(report, out_dir)

@@ -285,9 +285,9 @@ SCENARIOS = {
 
 
 def apply_scenario(scenario: Scenario, model: InversionModel,
-                   pretrained_arrays: dict[str, np.ndarray] | None = None) -> dict[str, str]:
+                   pretrained_arrays: dict[str, np.ndarray] | None = None) -> None:
     """Configure trainability (and load the pretrained phoneme stream for the
-    frozen-pretraining scenario); returns partition -> 'train' | 'frozen'."""
+    frozen-pretraining scenario)."""
     if scenario.needs_pretrained:
         if pretrained_arrays is None:
             raise UsageError(f"scenario {scenario.id} requires a pretrained phoneme-stream checkpoint")
@@ -298,9 +298,7 @@ def apply_scenario(scenario: Scenario, model: InversionModel,
             if pretrained_arrays[name].shape != p.data.shape:
                 raise UsageError(f"pretrained {name}: shape {pretrained_arrays[name].shape} != {p.data.shape}")
             p.data = pretrained_arrays[name].copy()
-    present = [part for part in PARTITIONS if part != "phoneme_stream" or model.phoneme is not None]
-    model.set_trainable([p for p in scenario.trainable if p in present])
-    return {part: ("train" if part in scenario.trainable else "frozen") for part in present}
+    model.set_trainable(scenario.trainable)
 
 
 def scenario_loss(scenario: Scenario, inversion_pred, phoneme_pred, target: Tensor,

@@ -160,8 +160,7 @@ def test_criterion_5_scenario_semantics(tmp_path):
     ckpt_path = tmp_path / "pretrain.ckpt"
     save_checkpoint(ckpt_path, pre, "hash", scenario="S1")
     loaded = load_checkpoint(ckpt_path)
-    phoneme_arrays = {n: a for n, a in loaded.arrays.items()
-                      if loaded.partitions[n] == "phoneme_stream"}
+    phoneme_arrays = {n: loaded.arrays[n] for n in pre.partition_params("phoneme_stream")}
     model2 = InversionModel(SMALL, seed=54)
     apply_scenario(SCENARIOS["S2"], model2, pretrained_arrays=phoneme_arrays)
     train_model(model2, SCENARIOS["S2"], samples, [], hyper, seed=55)
@@ -214,10 +213,10 @@ def test_criterion_7_directional_ablation(tmp_path):
     for seed in (0, 1, 2):
         reports = run_ablation(samples, hyper, seed=seed, out_dir=tmp_path / f"abl{seed}")
         s1 = run_loso(samples, "S1", hyper, seed=seed, out_dir=tmp_path / f"s1-{seed}")
-        two = reports["two_stream"].grand_rmse("inversion")
-        only = reports["speech_only"].grand_rmse("inversion")
-        s3p = reports["two_stream"].grand_rmse("phoneme")
-        s1r = s1.grand_rmse("phoneme")
+        two = reports["two_stream"].grand["inversion"].rmse_mean
+        only = reports["speech_only"].grand["inversion"].rmse_mean
+        s3p = reports["two_stream"].grand["phoneme"].rmse_mean
+        s1r = s1.grand["phoneme"].rmse_mean
         two_wins += two < only
         joint_wins += s3p <= s1r
         details.append(f"seed{seed} two {two:.3f} vs only {only:.3f}, S3(P) {s3p:.3f} vs S1 {s1r:.3f}")

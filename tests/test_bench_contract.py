@@ -41,7 +41,7 @@ def test_traced_eval_records_its_own_predict_spans(tmp_path):
                    env={**os.environ, "ARTINV_BENCH_SPANS": str(spans_dir)}, capture_output=True, check=True)
 
     files = sorted(spans_dir.glob("*.jsonl"))
-    assert len(files) == 1  # the eval process's own; share workers write none
+    assert len(files) == 1  # the eval process's own; prediction workers write none
     spans = [json.loads(line) for line in files[0].read_text().splitlines()]
     names = [s["name"] for s in spans]
     assert any(s["name"] == "model.predict" and s["attrs"]["frames"] > 0 for s in spans)

@@ -245,8 +245,8 @@ class TestEval:
         assert (run_dir / "report.csv").read_bytes() == (direct / "report.csv").read_bytes()
 
     def test_no_share_worker_outlives_the_command(self, tmp_path, monkeypatch, capsys):
-        """Three shares on any machine: the two forked workers are gone when
-        eval returns, and when a worker's error ends it with exit 2."""
+        """Three processes on any machine: the two forked workers are gone
+        when eval returns, and when a worker's error ends it with exit 2."""
         manifest = synth(tmp_path)
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, InversionModel(SMALL, seed=1), feature_config_hash(MfccConfig()))
@@ -262,13 +262,13 @@ class TestEval:
 
         def fails_in_workers(self, mfcc, phonemes):
             if os.getpid() != caller:
-                raise DataError("predict failed in a share worker")
+                raise DataError("predict failed in a prediction worker")
             return predict(self, mfcc, phonemes)
 
         monkeypatch.setattr(InversionModel, "predict", fails_in_workers)
         capsys.readouterr()
         assert main(argv + ["--out", str(tmp_path / "failed")]) == 2
-        assert "predict failed in a share worker" in capsys.readouterr().err
+        assert "predict failed in a prediction worker" in capsys.readouterr().err
         assert len(pids) == 4
         assert_reaped(pids)
 
@@ -386,6 +386,7 @@ def test_dead_fold_worker_fails_the_unfinished_folds(tmp_path, capfd, monkeypatc
     (1 and 3); the folds this process runs (0 and 2) still score.  The
     report lists every fold, and the command exits 2 with one error line."""
     manifest = synth(tmp_path, extra=["--speakers", "4"])
+    monkeypatch.setattr(workers, "usable_cores", lambda: 2)  # with --jobs 2, each fold in one process
     caller = os.getpid()
     run_fold = evaluation.run_fold
 
@@ -551,14 +552,14 @@ def test_dead_fold_worker_does_not_wait_for_its_gradient_workers(tmp_path, capfd
             break
         time.sleep(0.1)
     os.kill(int(grandchild.read_text()), signal.SIGKILL)
-    assert len(pids) == 3  # the fold worker and a gradient worker for each fold run here
+    assert len(pids) == 5  # the fold worker, and a gradient and a prediction worker for each fold run here
     assert_reaped(pids)
 
 
 @pytest.mark.parametrize("command", ["loso", "eval"])
 def test_interrupt_kills_and_reaps_every_worker(tmp_path, monkeypatch, command):
-    """A KeyboardInterrupt in this process, during ``loso --jobs 2`` or a
-    3-share ``eval``, kills each worker, still busy, and reaps it."""
+    """A KeyboardInterrupt in this process, during ``loso --jobs 2`` or an
+    ``eval`` on 3 processes, kills each worker, still busy, and reaps it."""
     manifest = synth(tmp_path, extra=["--speakers", "3"])
     caller = os.getpid()
     if command == "loso":

@@ -7,7 +7,6 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from artinv import evaluation as ev
 from artinv import training, workers
@@ -186,9 +185,8 @@ class TestLoso:
         for speaker in ("s01", "s02"):
             ckpt = load_checkpoint(out / "folds" / speaker / "pretrain_phoneme.ckpt")
             final = load_checkpoint(out / "folds" / speaker / "checkpoint.ckpt")
-            for name, arr in ckpt.arrays.items():
-                if ckpt.partitions[name] == "phoneme_stream":
-                    assert np.array_equal(arr, final.arrays[name]), name
+            for name in model_from_checkpoint(ckpt).partition_params("phoneme_stream"):
+                assert np.array_equal(ckpt.arrays[name], final.arrays[name]), name
 
 
 class TestAblation:
@@ -200,8 +198,7 @@ class TestAblation:
         assert set(reports) == {"two_stream", "speech_only"}
         for speaker in ("s01", "s02"):
             ckpt = load_checkpoint(out / "speech_only" / "folds" / speaker / "checkpoint.ckpt")
-            phoneme_params = [n for n, part in ckpt.partitions.items() if part == "phoneme_stream"]
-            assert phoneme_params == []
+            assert not any(n.startswith("phoneme.") for n in ckpt.arrays)
         assert (out / "ablation.csv").exists()
         assert (out / "ablation.txt").exists()
 
@@ -279,33 +276,69 @@ def test_folds_share_the_usable_cores(tmp_path, monkeypatch, jobs, forks):
     assert (len(log.read_text().splitlines()) if log.exists() else 0) == (2 if forks else 0)
 
 
-class TestShares:
-    @given(st.lists(st.integers(1, 400), min_size=1, max_size=30), st.integers(1, 6))
-    def test_cover_every_index_once_with_balanced_frames(self, frames, count):
-        shares = ev.frame_shares(frames, count)
-        assert shares == ev.frame_shares(list(frames), count)
-        assert len(shares) == count
-        assert sorted(i for share in shares for i in share) == list(range(len(frames)))
-        assert all(share == sorted(share) for share in shares)
-        totals = [sum(frames[i] for i in share) for share in shares]
-        assert max(totals) - min(totals) <= max(frames)
+def logged_predictions(monkeypatch, log):
+    """Log ``(pid, frames)`` for every utterance predicted from here on, in
+    any process; returns a function that reads the log."""
+    predict = InversionModel.predict
 
-    def test_longest_first_to_the_lightest_share(self):
-        # 75 -> 0, 75 -> 1, then 55 and 55, 35 and 35 alternate, ties by index
-        assert ev.frame_shares([15, 35, 55, 75, 15, 35, 55, 75], 2) == [[0, 1, 2, 3], [4, 5, 6, 7]]
-        assert ev.frame_shares([5, 5, 5], 2) == [[0, 2], [1]]
+    def logging(self, mfcc, phonemes):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {len(mfcc if mfcc is not None else phonemes)}\n")
+        return predict(self, mfcc, phonemes)
+
+    monkeypatch.setattr(InversionModel, "predict", logging)
+    return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+
+def test_a_fold_predicts_on_its_cores(tmp_path, monkeypatch):
+    """With 2 usable cores and --jobs 1, each fold predicts its held-out
+    speaker's 3 utterances in 2 processes: this one and a forked worker."""
+    samples = corpus(tmp_path, speakers=2, utts=3, seed=30)
+    monkeypatch.setattr(workers, "usable_cores", lambda: 2)
+    calls = logged_predictions(monkeypatch, tmp_path / "predict.log")
+    run_loso(samples, "S1", Hyper(epochs=1, batch_size=2), seed=31, out_dir=tmp_path / "run", model_config=TINY)
+    logged = calls()
+    assert len(logged) == 6
+    for fold in (logged[:3], logged[3:]):  # fold 1 predicts once fold 0 is scored
+        pids = {pid for pid, _ in fold}
+        assert len(pids) == 2 and os.getpid() in pids
+
+
+class TestShares:
+    def test_each_utterance_once_with_balanced_frames(self, tmp_path, monkeypatch):
+        """On 3 usable cores, eval predicts every utterance of a corpus of
+        mixed lengths once, in 3 processes whose frame totals differ by at
+        most the longest utterance."""
+        spec = SyntheticSpec(speakers=2, utterances_per_speaker=5, seed=28,
+                             duration_range=(1, 12), phones_range=(1, 4))
+        samples = load_manifest(generate_synthetic(spec, tmp_path / "corpus"))
+        lengths = [len(s.ema) for s in samples]
+        assert len(set(lengths)) > 3
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, InversionModel(TINY, seed=29), "")
+        monkeypatch.setattr(workers, "usable_cores", lambda: 3)
+        calls = logged_predictions(monkeypatch, tmp_path / "predict.log")
+        loaded = load_checkpoint(ckpt)
+        ev.evaluate_model(loaded, model_from_checkpoint(loaded), samples, tmp_path / "eval")
+        logged = calls()
+        assert sorted(frames for _, frames in logged) == sorted(lengths)
+        totals = {}
+        for pid, frames in logged:
+            totals[pid] = totals.get(pid, 0) + frames
+        assert len(totals) == 3 and os.getpid() in totals
+        assert max(totals.values()) - min(totals.values()) <= max(lengths)
 
     def test_outputs_do_not_depend_on_the_share_count(self, tmp_path, monkeypatch):
-        """Shares 1.. run in forked workers; every prediction CSV and every
-        score is the same as with one share."""
+        """Processes 1.. are forked workers; every prediction CSV and every
+        score is the same as in one process."""
         samples = corpus(tmp_path, speakers=2, utts=3, seed=22)
         model = InversionModel(TINY, seed=23)
         idx, _ = ev.channel_indices("tongue")
         pids = forked_pids(monkeypatch)
         digests, scores = [], []
-        for shares in (1, 2, 3):
-            fold_dir = tmp_path / f"shares-{shares}"
-            scores.append(ev._predict_and_score(model, SCENARIOS["S3"], samples, fold_dir, idx, shares=shares))
+        for processes in (1, 2, 3):
+            fold_dir = tmp_path / f"processes-{processes}"
+            scores.append(ev._predict_and_score(model, SCENARIOS["S3"], samples, fold_dir, idx, processes))
             files = sorted(fold_dir.rglob("*.csv"))
             assert len(files) == 3 * len(samples)
             acc = hashlib.sha256()
@@ -336,14 +369,14 @@ class TestShares:
         pids = forked_pids(monkeypatch)
         with pytest.raises(DataError, match=r"predict failed in process \d+") as exc:
             ev._predict_and_score(InversionModel(TINY, seed=25), SCENARIOS["S3"], samples,
-                                  tmp_path / "fold", idx, shares=2)
+                                  tmp_path / "fold", idx, 2)
         assert str(caller) not in str(exc.value)
         assert len(pids) == 1
         assert_reaped(pids)
 
     def test_no_thread_is_alive_when_eval_forks_its_share_workers(self, tmp_path, monkeypatch):
         """A forked child holds only the forking thread, so the checkpoint
-        load and the share split must start none before the pool forks."""
+        load must start none before eval forks its prediction workers."""
         samples = corpus(tmp_path, speakers=2, utts=2, seed=26)
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, InversionModel(TINY, seed=27), "")

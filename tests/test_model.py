@@ -229,11 +229,10 @@ class TestScenarios:
     def test_s1_trains_only_phoneme_stream(self):
         model = InversionModel(SMALL, seed=11)
         before = {part: snapshot(model, part) for part in mdl.PARTITIONS}
-        plan = apply_scenario(SCENARIOS["S1"], model)
-        assert plan == {
-            "speech_stream": "frozen", "fusion": "frozen",
-            "phoneme_stream": "train", "inversion_head": "frozen",
-        }
+        apply_scenario(SCENARIOS["S1"], model)
+        for part in mdl.PARTITIONS:
+            assert all(p.requires_grad == (part == "phoneme_stream")
+                       for p in model.partition_params(part).values()), part
         samples = make_samples(6, seed=12)
         train_model(model, SCENARIOS["S1"], samples, samples[:2], Hyper(epochs=2, learning_rate=1e-2, batch_size=3), seed=13)
         for part in ("speech_stream", "fusion", "inversion_head"):
