@@ -7,7 +7,11 @@ gradients additively wherever a tensor is used more than once.  It
 consumes the graph as it goes: each node's adjoint, parent links and
 gradient are dropped once used, so only the leaves keep gradients.  It
 can hand each leaf to a callback as soon as the leaf's gradient is final
-(the optimizer's per-parameter update).
+(the optimizer's per-parameter update).  It can also hand each
+contribution to a leaf's gradient to a second callback instead of adding
+it to the leaf.  ``linear`` and ``lstm_sequence`` give their weight
+gradients as a ``Product``: the two operands of a GEMM, which ``backward``
+forms where the gradient lands and such a callback may form elsewhere.
 
 The sequence primitives (``conv1d``, ``attention``, ``lstm_sequence``)
 and the loss (``squared_error``) take optional segment ``lengths``:
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,6 +99,16 @@ def _make(data, op: str, parents, vjp) -> Tensor:
     return out
 
 
+class Product(NamedTuple):
+    """A weight gradient not yet formed: ``a.T @ b``."""
+
+    a: np.ndarray
+    b: np.ndarray
+
+    def form(self) -> np.ndarray:
+        return self.a.T @ self.b
+
+
 # -- elementwise primitives ---------------------------------------------
 
 def add(a, b) -> Tensor:
@@ -144,7 +159,7 @@ def linear(x, w, b=None, activation=None) -> Tensor:
         if activation == "tanh":
             g = g * (1.0 - y * y)
         g_b = () if b is None else (g.sum(axis=0),)
-        return (g @ w.data.T, x.data.T @ g) + g_b
+        return (g @ w.data.T, Product(x.data, g)) + g_b
 
     return _make(y, "linear", (x, w) if b is None else (x, w, b), vjp)
 
@@ -309,7 +324,8 @@ def lstm_sequence(x, wx, wh, b, lengths=None, reverse: bool = False) -> Tensor:
     order in the [D, 4H] / [H, 4H] matrices, sigmoid for i/f/o and tanh for
     the candidate.  The adjoint is backprop-through-time with the weight
     gradients formed as whole-sequence GEMMs, which is why this is one tape
-    node instead of ~15 per step.
+    node instead of ~15 per step; ``wx`` and ``wh`` get theirs as
+    ``Product``s.
 
     With ``lengths``, ``x`` packs several sequences along T, each run from
     its own zero state.  ``reverse`` runs every sequence from its last frame
@@ -406,8 +422,8 @@ def lstm_sequence(x, wx, wh, b, lengths=None, reverse: bool = False) -> Tensor:
                 dc_next = dc * gate_f[lo:hi]
         dz_in = np.empty_like(dz)
         dz_in[perm] = dz
-        g_wh = out[perm[prev]].T @ dz[batch[0]:]
-        return dz_in @ wx.data.T, x.data.T @ dz_in, g_wh, dz.sum(axis=0)
+        g_wh = Product(out[perm[prev]], dz[batch[0]:])
+        return dz_in @ wx.data.T, Product(x.data, dz_in), g_wh, dz.sum(axis=0)
 
     return _make(out, "lstm_sequence", (x, wx, wh, b), vjp)
 
@@ -494,7 +510,7 @@ def _topo_order(loss: Tensor):
     return order
 
 
-def backward(loss: Tensor, on_leaf=None):
+def backward(loss: Tensor, on_leaf=None, on_grad=None):
     """Populate ``grad`` on every requires-grad leaf reachable from ``loss``.
 
     The graph is consumed: once a node's adjoint has run, its ``grad``,
@@ -502,9 +518,16 @@ def backward(loss: Tensor, on_leaf=None):
     saved are released as the pass runs and a graph can be replayed once.
 
     ``on_leaf(leaf)``, when given, is called once per requires-grad leaf,
-    right after the last tape edge into it has added its contribution: the
-    leaf's gradient is then final, no adjoint still to run reads the leaf,
+    right after the node of the last tape edge into it has passed on all
+    its contributions: the leaf's gradient is then final, no adjoint still to run reads the leaf,
     and the callback may update ``leaf.data`` in place or drop ``leaf.grad``.
+
+    ``on_grad(leaf, contribution)``, when given, receives every contribution
+    to a requires-grad leaf in place of ``leaf.grad``, which stays as it
+    is: an array, or a ``Product`` whose ``form()`` is the array.  Formed
+    and summed in arrival order, ``g1 + g2 + ...``, they are the gradient
+    bit for bit.  The callback reads the contribution before it returns:
+    ``on_leaf`` may then change a leaf that a ``Product`` holds.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
@@ -525,17 +548,25 @@ def backward(loss: Tensor, on_leaf=None):
         parents = node._parents
         node.grad = node._vjp = None
         node._parents = ()
+        final = []
         for parent, g in zip(parents, grads):
             if not parent.requires_grad:
                 continue
-            # accumulation rebinds rather than mutating, so aliased arrays
-            # coming out of a vjp are safe to hold
             if g is not None:
-                parent.grad = g if parent.grad is None else parent.grad + g
+                if on_grad is not None and parent._vjp is None:
+                    on_grad(parent, g)
+                else:
+                    if isinstance(g, Product):
+                        g = g.form()
+                    # accumulation rebinds rather than mutating, so aliased
+                    # arrays coming out of a vjp are safe to hold
+                    parent.grad = g if parent.grad is None else parent.grad + g
             if id(parent) in edges_left:
                 edges_left[id(parent)] -= 1
                 if not edges_left[id(parent)]:
-                    on_leaf(parent)
+                    final.append(parent)
+        for leaf in final:  # after the node's products, which may read a leaf
+            on_leaf(leaf)
 
 
 def check_gradients(build_loss, tensors, step: float = 1e-6, max_coords=None, rng=None,

@@ -217,7 +217,7 @@ class Adam:
     A step can run inside backward.  ``update`` is backward's ``on_leaf``
     hook: it updates the parameter as soon as its gradient is final and
     drops the gradient, so gradients are released one parameter at a time
-    instead of all being held until the pass ends.  ``step`` finishes the
+    instead of all being held until the pass ends.  ``step`` closes the
     step by updating, from its ``grad``, every parameter ``update`` did not
     reach (on its own, it updates them all and leaves the gradients in
     place).  Either way each parameter sees the same operations on the
@@ -250,6 +250,15 @@ class Adam:
         self._updated.add(name)
 
     def step(self):
+        """Close the step in progress (``finish``); a trainer calls this
+        once per batch."""
+        self.finish()
+
+    def finish(self):
+        """Update, from its gradient, every parameter ``update`` did not
+        reach, and close the step.  A process that applies a trainer's
+        updates calls this rather than ``step``, whose calls mark the
+        trainer's batches."""
         t = self.step_count + 1
         for name in self.params:
             if name not in self._updated:

@@ -19,15 +19,30 @@ parameter and drops the gradient, so a batch never holds all gradients at
 once; ``step`` closes the batch, updating any parameter the last group did
 not reach.  Parameters, moments and losses are bitwise those of a plain
 backward and ``step`` in one process.
+
+A plan whose every batch is one group has nothing to split.  On 2 or
+more cores it trains beside one weight worker, forked once after the
+same move into shared memory: this process runs each forward and the
+input gradients of backward, and hands the worker every contribution to
+a parameter's gradient, a weight gradient as the operands of its GEMM
+unformed (``autodiff.Product``).  The worker forms and adds them in
+arrival order, holds the Adam moments and updates each parameter once
+its gradient is final; this process waits for the batch's last update
+before the next forward.  Its own optimizer holds no parameter, and its
+``zero_grad`` and ``step`` only mark the batches.  The updates are
+bitwise those of one process.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import io
 import logging
+import math
 import mmap
 import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +57,7 @@ from .model import InversionModel, Scenario, scenario_loss
 log = logging.getLogger(__name__)
 
 PACK_FRAMES = 512
+RING_BYTES = 16 * 2**20  # the weight worker's shared buffer of gradient operands
 
 
 @dataclass(frozen=True)
@@ -124,13 +140,14 @@ def _finite_values(losses: Tensor, group, stage: str) -> list:
 
 
 def _train_group(model: InversionModel, scenario: Scenario, group, weights, inv_count: float,
-                 on_leaf=None) -> list:
+                 on_leaf=None, on_grad=None) -> list:
     """Forward and backward of one packed group; gradients accumulate on the
-    parameters, and ``on_leaf`` receives each one once its gradient is final.
-    The group's tape is gone when this returns."""
+    parameters (or, given ``on_grad``, go to it), and ``on_leaf`` receives
+    each parameter once its gradient is final.  The group's tape is gone
+    when this returns."""
     losses = _group_losses(model, scenario, group, weights)
     values = _finite_values(losses, group, "training")
-    ad.backward(ad.mul(ad.tsum(losses), inv_count), on_leaf)
+    ad.backward(ad.mul(ad.tsum(losses), inv_count), on_leaf, on_grad)
     return values
 
 
@@ -155,7 +172,9 @@ def train_model(model: InversionModel, scenario: Scenario, train_samples, val_sa
     group runs one forward and one backward of its summed per-utterance
     losses weighted by 1/batch size, and the batch takes one Adam step.  A
     batch's groups are split over up to ``cores`` processes (default
-    ``workers.usable_cores()``); the result does not depend on ``cores``.
+    ``workers.usable_cores()``), or, when every batch is one group and
+    ``cores`` is above 1, a weight worker forms the weight gradients and
+    runs Adam; the result does not depend on ``cores``.
     """
     usable = [s for s in train_samples if s.ema.shape[0] > 0]
     skipped = [s.utterance_id for s in train_samples if s.ema.shape[0] == 0]
@@ -170,13 +189,18 @@ def train_model(model: InversionModel, scenario: Scenario, train_samples, val_sa
         raise DataError(f"scenario {scenario.id}: nothing to train")
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     plan = _batch_plan(usable, hyper, shuffle_rng)
-    processes = min(workers.usable_cores() if cores is None else cores,
-                    max(len(groups) for batches in plan for groups in batches))
+    cores = workers.usable_cores() if cores is None else cores
+    most = max(len(groups) for batches in plan for groups in batches)
+    weights_apart = most == 1 and cores > 1 and hasattr(os, "fork")
 
     params = list(trainable.values())
     trace = []
-    with _gradient_workers(model, scenario, params, plan, hyper.loss_weights, processes) as forked:
-        optimizer = Adam(trainable, learning_rate=hyper.learning_rate)
+    with (_weight_worker(trainable, hyper.learning_rate) if weights_apart else
+          _gradient_workers(model, scenario, params, plan, hyper.loss_weights, min(cores, most))) as forked:
+        # beside a weight worker, which holds the moments and applies every
+        # update, this process's optimizer holds no parameter: its calls
+        # only mark the batches
+        optimizer = Adam({} if weights_apart else trainable, learning_rate=hyper.learning_rate)
         for epoch, batches in enumerate(plan, start=1):
             epoch_losses = []
             for groups in batches:
@@ -195,8 +219,15 @@ def _train_batch(model: InversionModel, scenario: Scenario, groups, weights, opt
     """One batch's groups on this process and the ``forked`` workers;
     returns the per-utterance losses in batch order.  Every worker group
     comes before the last and has been read by the time ``optimizer``
-    updates there, so no worker reads a parameter while it changes."""
+    updates there, so no worker reads a parameter while it changes.  A
+    one-group batch beside a weight worker hands it every gradient
+    contribution and returns once it has applied the batch's update."""
     inv_count = 1.0 / sum(map(len, groups))
+    if isinstance(forked, _WeightWorker):
+        (group,) = groups
+        values = _train_group(model, scenario, group, weights, inv_count, forked.final, forked.contribute)
+        forked.finish()
+        return values
     n = len(forked) + 1
     for worker in forked[:len(groups) - 1]:
         worker.go()
@@ -276,6 +307,116 @@ def _receive(worker: workers.Worker, params, on_leaf) -> list:
             if on_leaf is not None:
                 on_leaf(p)
     return values
+
+
+# -- the weight worker -----------------------------------------------------------
+
+@contextlib.contextmanager
+def _weight_worker(trainable: dict, learning_rate: float):
+    """Share the parameters of ``trainable``, make the ring and fork the
+    weight worker; yields this process's ``_WeightWorker``."""
+    params = list(trainable.values())
+    _share(params)
+    ring = mmap.mmap(-1, RING_BYTES)
+    with workers.forked([functools.partial(_weight_work, trainable, ring, learning_rate)],
+                        "training worker process died") as (worker,):
+        yield _WeightWorker(worker, ring, params)
+
+
+def _ring_views(ring, shapes, start: int) -> list:
+    """Float64 views of arrays of ``shapes`` laid out one after another in
+    ``ring`` from byte ``start`` (modulo its size)."""
+    views, offset = [], start % len(ring)
+    for shape in shapes:
+        count = math.prod(shape)
+        views.append(np.frombuffer(ring, np.float64, count, offset).reshape(shape))
+        offset += 8 * count
+    return views
+
+
+class _WeightWorker:
+    """This process's end of the weight worker.  Each gradient contribution
+    is copied into the shared ``ring``, or, if larger than it, follows its
+    header down the command pipe; the worker sends back the ring position
+    it has consumed up to, so a copy waits only while the ring is full."""
+
+    def __init__(self, worker: workers.Worker, ring, params):
+        self.worker, self.ring = worker, ring
+        self.index = {id(p): i for i, p in enumerate(params)}
+        self.head = self.tail = 0  # ring bytes ever written, and ever consumed
+
+    def contribute(self, leaf: Tensor, g) -> None:
+        """Backward's ``on_grad``: send the worker one contribution to
+        ``leaf``'s gradient, a weight ``Product`` unformed."""
+        operands = tuple(g) if isinstance(g, ad.Product) else (g,)
+        shapes = tuple(a.shape for a in operands)
+        size, capacity = sum(a.nbytes for a in operands), len(self.ring)
+        if size > capacity:
+            self.worker.go(pickle.dumps(("grad", self.index[id(leaf)], shapes, None)))
+            for a in operands:
+                self.worker.go(np.ascontiguousarray(a).reshape(-1))
+            return
+        start = self.head
+        if start % capacity + size > capacity:
+            start += capacity - start % capacity  # a contribution does not wrap round
+        while self.tail < self.head and start + size - self.tail > capacity:  # it would overwrite unread bytes
+            self.tail = self.worker.receive()
+        self.head = start + size
+        for view, a in zip(_ring_views(self.ring, shapes, start), operands):
+            view[...] = a
+        self.worker.go(pickle.dumps(("grad", self.index[id(leaf)], shapes, start)))
+
+    def final(self, leaf: Tensor) -> None:
+        """Backward's ``on_leaf``: the worker may update ``leaf`` now."""
+        self.worker.go(pickle.dumps(("final", self.index[id(leaf)])))
+
+    def finish(self) -> None:
+        """Close the batch and wait until the worker has updated every
+        parameter."""
+        self.worker.go(pickle.dumps(("end",)))
+        while (position := self.worker.receive()) is not None:
+            self.tail = position
+
+
+def _weight_work(trainable: dict, ring, learning_rate: float, commands, results) -> None:
+    """The weight worker's loop over its ``commands``: form each gradient
+    contribution and add it to its parameter's gradient in arrival order
+    (as backward does), send back the ring position consumed, update a
+    parameter by ``Adam.update`` once told its gradient is final, and at a
+    batch's end update the rest by ``Adam.finish`` and send ``None``.  This
+    process holds the Adam moments.  Returns when ``commands`` ends."""
+    params = list(trainable.values())
+    optimizer = Adam(trainable, learning_rate=learning_rate)
+    reader = io.BufferedReader(commands)
+    for p in params:
+        p.grad = None
+    while True:
+        try:
+            kind, *args = pickle.load(reader)
+        except EOFError:
+            return
+        if kind == "grad":
+            index, shapes, start = args
+            if start is None:
+                operands = [np.empty(shape) for shape in shapes]
+                for a in operands:
+                    if reader.readinto(memoryview(a.reshape(-1)).cast("B")) < a.nbytes:
+                        return
+            else:
+                operands = _ring_views(ring, shapes, start)
+            # a copy, as the ring's bytes are written again once consumed
+            g = ad.Product(*operands).form() if len(operands) == 2 else np.array(operands[0])
+            p = params[index]
+            p.grad = g if p.grad is None else p.grad + g
+            if start is not None:
+                workers.send(results, start + sum(a.nbytes for a in operands))
+        elif kind == "final":
+            optimizer.update(params[args[0]])
+        else:
+            optimizer.finish()
+            for p in params:
+                p.grad = None
+            workers.send(results, None)
 
 
 def evaluate_loss(model: InversionModel, scenario: Scenario, samples, weights=(1.0, 1.0)) -> float:

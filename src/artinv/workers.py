@@ -76,10 +76,12 @@ class Worker:
         self.commands, self.results, self.died = open(command_w, "wb", buffering=0), open(result_r, "rb"), died
         _ends.update((self.commands, self.results))
 
-    def go(self) -> None:
-        """Send the worker one command byte."""
+    def go(self, command=b"\x01") -> None:
+        """Send the worker the bytes of ``command``, one byte by default."""
+        view = memoryview(command).cast("B")
         try:
-            self.commands.write(b"\x01")
+            while view:
+                view = view[self.commands.write(view):]
         except BrokenPipeError:
             raise WorkerDied(self.died) from None
 

@@ -254,6 +254,73 @@ class TestOnLeaf:
             assert leaves[name].grad is None
 
 
+def hook_graphs():
+    """(id, leaves, build) for graphs whose weight gradients come out as
+    ``Product``s, each building a scalar loss from fixed random data."""
+    rng = np.random.default_rng(62)
+    x, g = rng.normal(size=(6, 5)), rng.normal(size=(6, 4))
+    for bias in (False, True):
+        for activation in (None, "tanh"):
+            leaves = {"x": Tensor(x, requires_grad=True), "w": Tensor(rng.normal(size=(5, 4)), requires_grad=True)}
+            if bias:
+                leaves["b"] = Tensor(rng.normal(size=4), requires_grad=True)
+
+            def build(leaves=leaves, activation=activation):
+                y = ad.linear(leaves["x"], leaves["w"], leaves.get("b"), activation)
+                return ad.tsum(ad.mul(y, Tensor(g)))
+
+            yield f"linear_bias{int(bias)}_{activation}", leaves, build
+    lengths, hidden = (4, 1, 3), 3
+    seq_g = rng.normal(size=(8, hidden))
+    for reverse in (False, True):
+        leaves = {"x": Tensor(rng.normal(size=(8, 5)), requires_grad=True),
+                  "wx": Tensor(rng.normal(size=(5, 4 * hidden)), requires_grad=True),
+                  "wh": Tensor(rng.normal(size=(hidden, 4 * hidden)), requires_grad=True),
+                  "b": Tensor(rng.normal(size=4 * hidden), requires_grad=True)}
+
+        def build(leaves=leaves, reverse=reverse):
+            y = ad.lstm_sequence(leaves["x"], leaves["wx"], leaves["wh"], leaves["b"], lengths, reverse)
+            return ad.tsum(ad.mul(y, Tensor(seq_g)))
+
+        yield f"lstm_packed_reverse{int(reverse)}", leaves, build
+    leaves, build = leaf_graph(63)  # x, w and b each used by two nodes
+    yield "leaf_of_two_nodes", leaves, build
+
+
+class TestOnGrad:
+    @pytest.mark.parametrize("case", list(hook_graphs()), ids=lambda case: case[0])
+    def test_contributions_sum_to_the_plain_gradient(self, case):
+        """Formed and summed in arrival order, the contributions handed to
+        ``on_grad`` are a plain backward's gradients byte for byte; the
+        leaves get no ``grad``, and ``on_leaf`` fires once per leaf, after
+        its last contribution."""
+        _, leaves, build = case
+        names = {id(t): name for name, t in leaves.items()}
+        ad.backward(build())
+        plain = {name: t.grad for name, t in leaves.items() if t.requires_grad}
+        for t in leaves.values():
+            t.grad = None
+        events, sums = [], {}
+
+        def on_grad(leaf, g):
+            name = names[id(leaf)]
+            events.append(("grad", name))
+            if isinstance(g, ad.Product):
+                events.append(("product", name))
+                g = g.form()
+            sums[name] = g if name not in sums else sums[name] + g
+
+        ad.backward(build(), on_leaf=lambda leaf: events.append(("leaf", names[id(leaf)])), on_grad=on_grad)
+        assert sums.keys() == plain.keys()
+        for name, grad in plain.items():
+            assert sums[name].tobytes() == grad.tobytes(), name
+            assert leaves[name].grad is None
+            fired = [i for i, event in enumerate(events) if event == ("leaf", name)]
+            assert len(fired) == 1 and fired[0] > max(i for i, e in enumerate(events) if e == ("grad", name))
+        weights = {"w"} if "w" in leaves else {"wx", "wh"}
+        assert {name for kind, name in events if kind == "product"} == weights
+
+
 class TestGradCheck:
     def test_quadratic_is_nearly_exact(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import artinv
-from artinv import evaluation, training, workers
+from artinv import evaluation, layers, training, workers
 from artinv.cli import main
 from artinv.dataio import load_checkpoint, load_manifest, model_from_checkpoint, save_checkpoint
 from artinv.errors import DataError
@@ -244,7 +244,7 @@ class TestEval:
         evaluation.evaluate_model(loaded, model_from_checkpoint(loaded), load_manifest(manifest), direct)
         assert (run_dir / "report.csv").read_bytes() == (direct / "report.csv").read_bytes()
 
-    def test_no_share_worker_outlives_the_command(self, tmp_path, monkeypatch, capsys):
+    def test_no_prediction_worker_outlives_the_command(self, tmp_path, monkeypatch, capsys):
         """Three processes on any machine: the two forked workers are gone
         when eval returns, and when a worker's error ends it with exit 2."""
         manifest = synth(tmp_path)
@@ -414,7 +414,7 @@ def test_dead_fold_worker_fails_the_unfinished_folds(tmp_path, capfd, monkeypatc
     assert_reaped(pids)
 
 
-def test_dead_share_worker_is_one_error_line(tmp_path, capfd, monkeypatch):
+def test_dead_prediction_worker_is_one_error_line(tmp_path, capfd, monkeypatch):
     manifest = synth(tmp_path)
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, InversionModel(SMALL, seed=1), feature_config_hash(MfccConfig()))
@@ -444,53 +444,70 @@ def split_every_batch(monkeypatch, cores=2):
     monkeypatch.setattr(workers, "usable_cores", lambda: cores)
 
 
-def die_in_training_workers(monkeypatch):
+def training_workers(monkeypatch, mode, cores=2):
+    """Train on ``cores`` usable cores with group workers (``mode`` "split":
+    every batch packs into several groups) or a weight worker ("one_group":
+    the tiny corpora pack each batch into one group)."""
+    if mode == "split":
+        split_every_batch(monkeypatch, cores)
+    else:
+        monkeypatch.setattr(workers, "usable_cores", lambda: cores)
+
+
+def die_in_training_workers(monkeypatch, mode):
+    """A group worker dies as it starts a group, a weight worker as it
+    starts its first update."""
     caller = os.getpid()
-    train_group = training._train_group
+    target, name = (training, "_train_group") if mode == "split" else (layers.Adam, "update")
+    original = getattr(target, name)
 
     def dies_in_a_worker(*args):
         if os.getpid() != caller:
             os._exit(9)
-        return train_group(*args)
+        return original(*args)
 
-    monkeypatch.setattr(training, "_train_group", dies_in_a_worker)
+    monkeypatch.setattr(target, name, dies_in_a_worker)
 
 
 def test_dead_training_worker_is_one_error_line(tmp_path, capfd, monkeypatch):
     manifest = synth(tmp_path)
-    split_every_batch(monkeypatch)
-    die_in_training_workers(monkeypatch)
-    pids = forked_pids(monkeypatch)
-    capfd.readouterr()
-    assert main(["train", "--manifest", str(manifest), "--scenario", "S1", "--out", str(tmp_path / "train"),
-                 "--seed", "0", *FAST_TRAIN]) == 2
-    err = capfd.readouterr().err
-    assert err == "artinv: error: training worker process died\n"
-    assert len(pids) == 1
-    assert_reaped(pids)
+    for mode in ("split", "one_group"):
+        with monkeypatch.context() as patch:
+            training_workers(patch, mode)
+            die_in_training_workers(patch, mode)
+            pids = forked_pids(patch)
+            capfd.readouterr()
+            assert main(["train", "--manifest", str(manifest), "--scenario", "S1", "--out", str(tmp_path / mode),
+                         "--seed", "0", *FAST_TRAIN]) == 2
+        err = capfd.readouterr().err
+        assert err == "artinv: error: training worker process died\n", mode
+        assert len(pids) == 1, mode
+        assert_reaped(pids)
 
 
 def test_dead_training_worker_fails_its_fold(tmp_path, capfd, monkeypatch):
     manifest = synth(tmp_path, extra=["--utts", "4"])
-    split_every_batch(monkeypatch)
-    die_in_training_workers(monkeypatch)
-    pids = forked_pids(monkeypatch)
-    out = tmp_path / "loso"
-    capfd.readouterr()
-    assert main(["loso", "--manifest", str(manifest), "--scenario", "S1", "--out", str(out), "--seed", "0",
-                 *FAST_TRAIN, "--jobs", "1"]) == 2
-    err = capfd.readouterr().err
-    assert err.startswith("artinv: error: fold(s) failed") and "s01: training worker process died" in err
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
-    rows = evaluation.read_report_csv(next(out.glob("loso-*")) / "report.csv")
-    assert [(r["scope"], r["stream"]) for r in rows] == [("fold_failed", "training worker process died")] * 2
-    assert len(pids) == 2  # one worker per fold
-    assert_reaped(pids)
+    for mode in ("split", "one_group"):
+        with monkeypatch.context() as patch:
+            training_workers(patch, mode)
+            die_in_training_workers(patch, mode)
+            pids = forked_pids(patch)
+            out = tmp_path / mode
+            capfd.readouterr()
+            assert main(["loso", "--manifest", str(manifest), "--scenario", "S1", "--out", str(out), "--seed", "0",
+                         *FAST_TRAIN, "--jobs", "1"]) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("artinv: error: fold(s) failed") and "s01: training worker process died" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        rows = evaluation.read_report_csv(next(out.glob("loso-*")) / "report.csv")
+        assert [(r["scope"], r["stream"]) for r in rows] == [("fold_failed", "training worker process died")] * 2
+        assert len(pids) == 2, mode  # one worker per fold
+        assert_reaped(pids)
 
 
 def test_interrupted_training_leaves_no_worker(tmp_path, monkeypatch):
+    """On 3 cores: 2 group workers, or 1 weight worker."""
     samples = load_manifest(synth(tmp_path, extra=["--utts", "4"]))
-    split_every_batch(monkeypatch, cores=3)
     caller = os.getpid()
     train_group = training._train_group
 
@@ -499,15 +516,18 @@ def test_interrupted_training_leaves_no_worker(tmp_path, monkeypatch):
             raise KeyboardInterrupt
         return train_group(*args)
 
-    monkeypatch.setattr(training, "_train_group", interrupted)
-    pids = forked_pids(monkeypatch)
-    model = InversionModel(SMALL, seed=2)
-    apply_scenario(SCENARIOS["S3"], model)
-    with pytest.raises(KeyboardInterrupt):
-        training.train_model(model, SCENARIOS["S3"], samples, [], training.Hyper(epochs=1, batch_size=3), seed=3)
-    assert len(pids) == 2
-    assert_reaped(pids)
-
+    for mode, forks in (("split", 2), ("one_group", 1)):
+        with monkeypatch.context() as patch:
+            training_workers(patch, mode, cores=3)
+            patch.setattr(training, "_train_group", interrupted)
+            pids = forked_pids(patch)
+            model = InversionModel(SMALL, seed=2)
+            apply_scenario(SCENARIOS["S3"], model)
+            with pytest.raises(KeyboardInterrupt):
+                training.train_model(model, SCENARIOS["S3"], samples, [], training.Hyper(epochs=1, batch_size=3),
+                                     seed=3)
+        assert len(pids) == forks, mode
+        assert_reaped(pids)
 
 
 def test_dead_fold_worker_does_not_wait_for_its_gradient_workers(tmp_path, capfd, monkeypatch):

@@ -304,7 +304,10 @@ def test_a_fold_predicts_on_its_cores(tmp_path, monkeypatch):
         assert len(pids) == 2 and os.getpid() in pids
 
 
-class TestShares:
+class TestPredictionWorkers:
+    """Eval and a fold's test set predict the utterance ranked r, longest
+    first, in process r mod n: this one or a forked prediction worker."""
+
     def test_each_utterance_once_with_balanced_frames(self, tmp_path, monkeypatch):
         """On 3 usable cores, eval predicts every utterance of a corpus of
         mixed lengths once, in 3 processes whose frame totals differ by at
@@ -328,7 +331,7 @@ class TestShares:
         assert len(totals) == 3 and os.getpid() in totals
         assert max(totals.values()) - min(totals.values()) <= max(lengths)
 
-    def test_outputs_do_not_depend_on_the_share_count(self, tmp_path, monkeypatch):
+    def test_outputs_do_not_depend_on_the_process_count(self, tmp_path, monkeypatch):
         """Processes 1.. are forked workers; every prediction CSV and every
         score is the same as in one process."""
         samples = corpus(tmp_path, speakers=2, utts=3, seed=22)
@@ -374,7 +377,7 @@ class TestShares:
         assert len(pids) == 1
         assert_reaped(pids)
 
-    def test_no_thread_is_alive_when_eval_forks_its_share_workers(self, tmp_path, monkeypatch):
+    def test_no_thread_is_alive_when_eval_forks_its_prediction_workers(self, tmp_path, monkeypatch):
         """A forked child holds only the forking thread, so the checkpoint
         load must start none before eval forks its prediction workers."""
         samples = corpus(tmp_path, speakers=2, utts=2, seed=26)

@@ -19,6 +19,7 @@ from artinv.dataio import UtteranceSample
 from artinv.errors import NumericalError, UsageError
 from artinv.model import InversionModel, ModelConfig, SCENARIOS, apply_scenario, scenario_loss
 from artinv.training import PACK_FRAMES, Hyper, evaluate_loss, pack_groups, train_model
+from forks import forked_pids
 
 SMALL = ModelConfig(
     conv_channels=4, kernel_sizes=(1, 3), attn_model_dim=16, attn_layers=2,
@@ -412,7 +413,7 @@ def trained(monkeypatch, scenario, pack_limit=None, plain=False, epochs=2, cores
             patch.setattr(training, "pack_groups", functools.partial(pack_groups, limit=pack_limit))
         if plain:
             backward = ad.backward
-            patch.setattr(ad, "backward", lambda loss, on_leaf=None: backward(loss))
+            patch.setattr(ad, "backward", lambda loss, on_leaf=None, on_grad=None: backward(loss))
         model = InversionModel(SMALL, seed=50)
         pretrained = None
         if scenario.needs_pretrained:
@@ -461,7 +462,7 @@ class TestOptimizerInBackward:
             apply_scenario(S3, model)
             with monkeypatch.context() as patch:
                 if plain:
-                    patch.setattr(ad, "backward", lambda loss, on_leaf=None: backward(loss))
+                    patch.setattr(ad, "backward", lambda loss, on_leaf=None, on_grad=None: backward(loss))
                 tracemalloc.start()
                 try:
                     train_model(model, S3, samples, [], Hyper(epochs=1, batch_size=5), seed=56, cores=1)
@@ -556,3 +557,99 @@ class TestTrainingCores:
         with open(result_r, "rb") as results:
             assert results.read() == b""
         assert all(p.grad is None for p in params)
+
+
+class TestWeightWorker:
+    """A plan of one-group batches, on 2 or more cores, forks one weight
+    worker: it forms the weight gradients and runs Adam while this process
+    backpropagates.  The parameters and losses do not change."""
+
+    @pytest.mark.parametrize("scenario", [S3, SCENARIOS["S2"]], ids=["S3", "S2"])
+    def test_outputs_are_bitwise_those_of_one_core(self, monkeypatch, scenario):
+        reference, reference_optimizer = trained(monkeypatch, scenario, cores=1)
+        for cores in (2, 3):
+            params, optimizer = trained(monkeypatch, scenario, cores=cores)
+            assert params.keys() == reference.keys()
+            for name in params:
+                assert params[name].tobytes() == reference[name].tobytes(), (cores, name)
+            assert optimizer.trace == reference_optimizer.trace
+            # this process's optimizer holds no parameter and no moment
+            assert optimizer.params == {} and optimizer._m == {}
+            assert optimizer.calls == reference_optimizer.calls
+            assert optimizer.step_count == reference_optimizer.step_count
+
+    def test_only_the_worker_forms_weight_products(self, monkeypatch, tmp_path):
+        log = tmp_path / "form.log"
+        form = ad.Product.form
+
+        def logged(self):  # in any process
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return form(self)
+
+        monkeypatch.setattr(ad.Product, "form", logged)
+        trained(monkeypatch, S3, cores=2)
+        pids = set(log.read_text().split())
+        assert len(pids) == 1 and str(os.getpid()) not in pids
+
+    @pytest.mark.parametrize("ring_bytes", [2**14, 2**17], ids=["ring_16k", "ring_128k"])
+    def test_operands_larger_than_the_ring_are_still_bitwise(self, monkeypatch, ring_bytes):
+        """A 490-frame utterance, whose products' operands outgrow a small
+        ring and go down the command pipe, trains in one-group batches with
+        short ones, whose operands wrap round the ring."""
+        samples = make_samples(4, seed=65)
+        samples[2] = make_samples(1, frames=490, seed=66)[0]
+        sizes = []
+        contribute = training._WeightWorker.contribute
+
+        def measured(self, leaf, g):
+            sizes.append(sum(a.nbytes for a in (g if isinstance(g, ad.Product) else (g,))))
+            return contribute(self, leaf, g)
+
+        results = {}
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "RING_BYTES", ring_bytes)
+            patch.setattr(training._WeightWorker, "contribute", measured)
+            for cores in (1, 2):
+                model = InversionModel(SMALL, seed=68)
+                apply_scenario(S3, model)
+                result = train_model(model, S3, samples, samples[1:3], Hyper(epochs=2, batch_size=2), seed=69,
+                                     cores=cores)
+                results[cores] = ({n: p.data.tobytes() for n, p in model.parameters().items()}, result.trace)
+        assert results[2] == results[1]
+        assert max(sizes) > ring_bytes and sum(size for size in sizes if size <= ring_bytes) > 2 * ring_bytes
+
+    def test_a_plan_with_one_split_batch_keeps_the_group_workers(self, monkeypatch, tmp_path):
+        """Of two batches, only the longer packs into several groups: the
+        plan runs on a group worker, which trains groups, and forks no
+        weight worker."""
+        samples = make_samples(6, seed=70)
+        hyper = Hyper(epochs=1, batch_size=3)
+
+        def plan():
+            return training._batch_plan(samples, hyper, np.random.default_rng(
+                np.random.SeedSequence(entropy=71, spawn_key=(1,))))[0]
+
+        totals = sorted(sum(s.ema.shape[0] for group in groups for s in group) for groups in plan())
+        log = tmp_path / "groups.log"
+        train_group = training._train_group
+
+        def logged(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return train_group(*args)
+
+        def no_weight_worker(*args):
+            raise AssertionError("a weight worker was forked")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "pack_groups", functools.partial(pack_groups, limit=totals[0]))
+            patch.setattr(training, "_train_group", logged)
+            patch.setattr(training, "_weight_worker", no_weight_worker)
+            assert totals[1] > totals[0] and sorted(len(groups) for groups in plan())[0] == 1
+            pids = forked_pids(patch)
+            model = InversionModel(SMALL, seed=72)
+            apply_scenario(S3, model)
+            train_model(model, S3, samples, [], hyper, seed=71, cores=2)
+        assert len(pids) == 1
+        assert set(log.read_text().split()) == {str(os.getpid()), str(pids[0])}
