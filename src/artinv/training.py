@@ -7,30 +7,26 @@ packed ``[sum(T), .]`` arrays, the sequence layers keeping the utterances
 apart by their lengths, and one backward; an utterance longer than the
 limit runs alone.  The limit bounds the tape a group holds at once.
 
-Group ``i`` of a batch runs, through ``_train_group``, in process
-``i % n``: 0 is this one, and the others are gradient workers forked once
-per ``train_model`` after the trainable parameters move into one shared
-anonymous mapping (n is 1 on one core or without ``fork``).  A
+On one core, or without ``fork``, all of it runs in this process:
+``Adam.update`` updates each parameter in the last group's backward once
+its gradient is final, and ``step`` updates any it did not reach.  On 2 or
+more, the trainable parameters move into one shared anonymous mapping and
+n - 1 workers are forked once per ``train_model``, n being the most groups
+in a batch, at least 2 and at most the cores.  Group ``i`` of a split batch
+runs, through ``_train_group``, in process ``i % n``: 0 is this one.  A
 worker streams each group's losses and gradients back once the group is
 done, and this process adds them to its own in group order, so each
-parameter sums ``((g1 + g2) + g3) + ...`` as one process does.  The last
-group finishes each gradient, and ``Adam.update`` then updates that
-parameter and drops the gradient, so a batch never holds all gradients at
-once; ``step`` closes the batch, updating any parameter the last group did
-not reach.  Parameters, moments and losses are bitwise those of a plain
-backward and ``step`` in one process.
+parameter sums ``((g1 + g2) + g3) + ...`` as one process does.
 
-A plan whose every batch is one group has nothing to split.  On 2 or
-more cores it trains beside one weight worker, forked once after the
-same move into shared memory: this process runs each forward and the
-input gradients of backward, and hands the worker every contribution to
-a parameter's gradient, a weight gradient as the operands of its GEMM
-unformed (``autodiff.Product``).  The worker forms and adds them in
-arrival order, holds the Adam moments and updates each parameter once
-its gradient is final; this process waits for the batch's last update
-before the next forward.  Its own optimizer holds no parameter, and its
-``zero_grad`` and ``step`` only mark the batches.  The updates are
-bitwise those of one process.
+Worker 1 also holds the Adam moments and applies every update.  In a
+one-group batch this process hands it every contribution to a parameter's
+gradient, a weight gradient as the operands of its GEMM unformed
+(``autodiff.Product``); in a split batch, each parameter's final sum.  The
+worker adds them in arrival order and updates each parameter once its
+gradient is final, while this process backpropagates on, and this process
+waits for the batch's last update before the next forward.  Its own
+optimizer holds no parameter: its ``zero_grad`` and ``step`` only mark the
+batches.  Parameters, moments and losses are bitwise those of one process.
 """
 
 from __future__ import annotations
@@ -57,7 +53,7 @@ from .model import InversionModel, Scenario, scenario_loss
 log = logging.getLogger(__name__)
 
 PACK_FRAMES = 512
-RING_BYTES = 16 * 2**20  # the weight worker's shared buffer of gradient operands
+RING_BYTES = 16 * 2**20  # the least size of worker 1's shared buffer of gradient operands
 
 
 @dataclass(frozen=True)
@@ -172,9 +168,8 @@ def train_model(model: InversionModel, scenario: Scenario, train_samples, val_sa
     group runs one forward and one backward of its summed per-utterance
     losses weighted by 1/batch size, and the batch takes one Adam step.  A
     batch's groups are split over up to ``cores`` processes (default
-    ``workers.usable_cores()``), or, when every batch is one group and
-    ``cores`` is above 1, a weight worker forms the weight gradients and
-    runs Adam; the result does not depend on ``cores``.
+    ``workers.usable_cores()``), and on 2 or more worker 1 runs Adam; the
+    result does not depend on ``cores``.
     """
     usable = [s for s in train_samples if s.ema.shape[0] > 0]
     skipped = [s.utterance_id for s in train_samples if s.ema.shape[0] == 0]
@@ -191,21 +186,21 @@ def train_model(model: InversionModel, scenario: Scenario, train_samples, val_sa
     plan = _batch_plan(usable, hyper, shuffle_rng)
     cores = workers.usable_cores() if cores is None else cores
     most = max(len(groups) for batches in plan for groups in batches)
-    weights_apart = most == 1 and cores > 1 and hasattr(os, "fork")
+    processes = max(2, min(cores, most)) if cores > 1 and hasattr(os, "fork") else 1
 
     params = list(trainable.values())
     trace = []
-    with (_weight_worker(trainable, hyper.learning_rate) if weights_apart else
-          _gradient_workers(model, scenario, params, plan, hyper.loss_weights, min(cores, most))) as forked:
-        # beside a weight worker, which holds the moments and applies every
-        # update, this process's optimizer holds no parameter: its calls
-        # only mark the batches
-        optimizer = Adam({} if weights_apart else trainable, learning_rate=hyper.learning_rate)
+    with _workers(model, scenario, trainable, plan, hyper, processes) as (keeper, forked):
+        # beside worker 1, which holds the moments and applies every update,
+        # this process's optimizer holds no parameter: its calls only mark
+        # the batches
+        optimizer = Adam({} if keeper else trainable, learning_rate=hyper.learning_rate)
         for epoch, batches in enumerate(plan, start=1):
             epoch_losses = []
             for groups in batches:
                 optimizer.zero_grad()
-                epoch_losses += _train_batch(model, scenario, groups, hyper.loss_weights, optimizer, params, forked)
+                epoch_losses += _train_batch(model, scenario, groups, hyper.loss_weights, optimizer, params,
+                                             keeper, forked)
                 optimizer.step()
             train_loss = float(np.mean(epoch_losses))
             val_loss = evaluate_loss(model, scenario, val_samples, hyper.loss_weights) if val_samples else float("nan")
@@ -215,33 +210,39 @@ def train_model(model: InversionModel, scenario: Scenario, train_samples, val_sa
 
 
 def _train_batch(model: InversionModel, scenario: Scenario, groups, weights, optimizer: Adam, params,
-                 forked) -> list:
+                 keeper, forked) -> list:
     """One batch's groups on this process and the ``forked`` workers;
     returns the per-utterance losses in batch order.  Every worker group
-    comes before the last and has been read by the time ``optimizer``
-    updates there, so no worker reads a parameter while it changes.  A
-    one-group batch beside a weight worker hands it every gradient
-    contribution and returns once it has applied the batch's update."""
+    comes before the last and has been read by the time a parameter is
+    updated, so no worker reads a parameter while it changes.  With a
+    ``keeper`` (worker 1), this returns once it has applied the batch's
+    update; without, ``optimizer`` updates in the last group's backward."""
     inv_count = 1.0 / sum(map(len, groups))
-    if isinstance(forked, _WeightWorker):
-        (group,) = groups
-        values = _train_group(model, scenario, group, weights, inv_count, forked.final, forked.contribute)
-        forked.finish()
-        return values
+    if keeper is None:
+        on_leaf, on_grad = optimizer.update, None
+    elif len(groups) == 1:
+        on_leaf, on_grad = keeper.final, keeper.contribute
+    else:
+        on_leaf, on_grad = keeper.hand, None
     n = len(forked) + 1
     for worker in forked[:len(groups) - 1]:
-        worker.go()
+        worker.go(pickle.dumps(("run",)))
     values = []
     for i, group in enumerate(groups):
-        on_leaf = optimizer.update if i == len(groups) - 1 else None
         if i % n:
-            values += _receive(forked[i % n - 1], params, on_leaf)
+            values += _receive(forked[i % n - 1], params)
         else:
-            values += _train_group(model, scenario, group, weights, inv_count, on_leaf)
+            last = i == len(groups) - 1
+            values += _train_group(model, scenario, group, weights, inv_count, on_leaf if last else None, on_grad)
+    if keeper is not None:
+        for p in params:  # the sums a worker's last group finished
+            if p.grad is not None:
+                keeper.hand(p)
+        keeper.finish()
     return values
 
 
-# -- gradient workers -----------------------------------------------------------
+# -- workers ---------------------------------------------------------------------
 
 def _share(params) -> None:
     """Move the arrays of ``params`` into one shared anonymous mapping, so
@@ -255,72 +256,30 @@ def _share(params) -> None:
         offset += shared.nbytes
 
 
-def _gradient_workers(model: InversionModel, scenario: Scenario, params, plan, weights, processes: int):
-    """A context that shares ``params`` and forks ``processes - 1`` workers
-    for the batches of ``plan`` of several groups, yielding them (none for
-    fewer than 2 processes or without ``fork``)."""
-    if processes < 2 or not hasattr(os, "fork"):
-        return contextlib.nullcontext([])
-    _share(params)
-    split = [groups for batches in plan for groups in batches if len(groups) > 1]
-    return workers.forked([functools.partial(_work, model, scenario, params, split, weights, slot, processes)
-                           for slot in range(1, processes)], "training worker process died")
+def _ring_bytes(params, plan) -> int:
+    """A ring size that fits any one contribution of ``plan``: a whole
+    gradient, or the two operands of a 2-D parameter's product, each with a
+    row per frame of a group; and at least ``RING_BYTES``."""
+    frames = max(sum(s.ema.shape[0] for s in group) for batches in plan for groups in batches for group in groups)
+    width = max((sum(p.data.shape) for p in params if p.data.ndim == 2), default=0)
+    return max(RING_BYTES, 8 * frames * width, max(p.data.nbytes for p in params))
 
-
-def _work(model: InversionModel, scenario: Scenario, params, split, weights, slot: int, processes: int,
-          commands, results) -> None:
-    """The loop of gradient worker ``slot`` of ``processes``: for each batch
-    in ``split`` with groups ``slot``, ``slot + processes``, ..., wait for a
-    byte on ``commands``, then run each of those groups and send its losses
-    and the mask of ``params`` with a gradient, then those gradients raw,
-    releasing each once written.  Returns when ``commands`` ends."""
-    for p in params:
-        p.grad = None
-    for groups in split:
-        mine = groups[slot::processes]
-        if not mine:
-            continue
-        if not commands.read(1):
-            return
-        inv_count = 1.0 / sum(map(len, groups))
-        for group in mine:
-            values = _train_group(model, scenario, group, weights, inv_count)
-            workers.send(results, (values, [p.grad is not None for p in params]))
-            for p in params:
-                if p.grad is not None:
-                    results.write(memoryview(np.ascontiguousarray(p.grad)).cast("B"))
-                    p.grad = None
-            results.flush()
-
-
-def _receive(worker: workers.Worker, params, on_leaf) -> list:
-    """The losses of the worker's next group, whose gradients are added to
-    those of ``params`` as one more backward would, each then to ``on_leaf``."""
-    values, sent = worker.receive()
-    for p, has_grad in zip(params, sent):
-        if has_grad:
-            g = np.empty(p.data.shape)
-            worker.readinto(memoryview(g).cast("B"))
-            if p.grad is not None:
-                np.add(p.grad, g, out=g)  # p.grad + g, into the buffer just read
-            p.grad = g
-            if on_leaf is not None:
-                on_leaf(p)
-    return values
-
-
-# -- the weight worker -----------------------------------------------------------
 
 @contextlib.contextmanager
-def _weight_worker(trainable: dict, learning_rate: float):
-    """Share the parameters of ``trainable``, make the ring and fork the
-    weight worker; yields this process's ``_WeightWorker``."""
+def _workers(model: InversionModel, scenario: Scenario, trainable: dict, plan, hyper: Hyper, processes: int):
+    """Share the parameters of ``trainable``, make the ring and fork
+    ``processes - 1`` workers for ``plan``; yields this process's
+    ``_Keeper`` of worker 1 and the workers (None and none for 1 process)."""
+    if processes == 1:
+        yield None, []
+        return
     params = list(trainable.values())
     _share(params)
-    ring = mmap.mmap(-1, RING_BYTES)
-    with workers.forked([functools.partial(_weight_work, trainable, ring, learning_rate)],
-                        "training worker process died") as (worker,):
-        yield _WeightWorker(worker, ring, params)
+    ring = mmap.mmap(-1, _ring_bytes(params, plan))
+    split = [groups for batches in plan for groups in batches if len(groups) > 1]
+    with workers.forked([functools.partial(_work, model, scenario, trainable, split, hyper, ring, slot, processes)
+                         for slot in range(1, processes)], "training worker process died") as forked:
+        yield _Keeper(forked[0], ring, params), forked
 
 
 def _ring_views(ring, shapes, start: int) -> list:
@@ -334,11 +293,11 @@ def _ring_views(ring, shapes, start: int) -> list:
     return views
 
 
-class _WeightWorker:
-    """This process's end of the weight worker.  Each gradient contribution
-    is copied into the shared ``ring``, or, if larger than it, follows its
-    header down the command pipe; the worker sends back the ring position
-    it has consumed up to, so a copy waits only while the ring is full."""
+class _Keeper:
+    """This process's end of worker 1, which keeps the Adam moments.  Each
+    gradient contribution is copied into the shared ``ring``; the worker
+    sends back the ring position it has consumed up to, so a copy waits
+    only while the ring is full."""
 
     def __init__(self, worker: workers.Worker, ring, params):
         self.worker, self.ring = worker, ring
@@ -351,11 +310,6 @@ class _WeightWorker:
         operands = tuple(g) if isinstance(g, ad.Product) else (g,)
         shapes = tuple(a.shape for a in operands)
         size, capacity = sum(a.nbytes for a in operands), len(self.ring)
-        if size > capacity:
-            self.worker.go(pickle.dumps(("grad", self.index[id(leaf)], shapes, None)))
-            for a in operands:
-                self.worker.go(np.ascontiguousarray(a).reshape(-1))
-            return
         start = self.head
         if start % capacity + size > capacity:
             start += capacity - start % capacity  # a contribution does not wrap round
@@ -370,6 +324,12 @@ class _WeightWorker:
         """Backward's ``on_leaf``: the worker may update ``leaf`` now."""
         self.worker.go(pickle.dumps(("final", self.index[id(leaf)])))
 
+    def hand(self, leaf: Tensor) -> None:
+        """Send the worker ``leaf``'s final gradient, summed here, and drop it."""
+        self.contribute(leaf, leaf.grad)
+        self.final(leaf)
+        leaf.grad = None
+
     def finish(self) -> None:
         """Close the batch and wait until the worker has updated every
         parameter."""
@@ -378,15 +338,23 @@ class _WeightWorker:
             self.tail = position
 
 
-def _weight_work(trainable: dict, ring, learning_rate: float, commands, results) -> None:
-    """The weight worker's loop over its ``commands``: form each gradient
-    contribution and add it to its parameter's gradient in arrival order
-    (as backward does), send back the ring position consumed, update a
-    parameter by ``Adam.update`` once told its gradient is final, and at a
-    batch's end update the rest by ``Adam.finish`` and send ``None``.  This
-    process holds the Adam moments.  Returns when ``commands`` ends."""
+def _work(model: InversionModel, scenario: Scenario, trainable: dict, split, hyper: Hyper, ring, slot: int,
+          processes: int, commands, results) -> None:
+    """The loop of worker ``slot`` of ``processes`` over its pickled
+    ``commands``; returns when they end.
+
+    ``run``: run groups ``slot``, ``slot + processes``, ... of the next
+    batch in ``split`` that has any, sending each group's losses and the
+    mask of parameters with a gradient, then those gradients raw, releasing
+    each once written.  Worker 1 alone also gets ``grad``: form a gradient
+    contribution from the ring and add it to its parameter's gradient in
+    arrival order (as backward does), sending back the ring position
+    consumed; ``final``: update that parameter by ``Adam.update``; and
+    ``end``: update the rest by ``Adam.finish`` and send ``None``.  It holds
+    the Adam moments."""
     params = list(trainable.values())
-    optimizer = Adam(trainable, learning_rate=learning_rate)
+    optimizer = Adam(trainable if slot == 1 else {}, learning_rate=hyper.learning_rate)
+    mine = ((groups[slot::processes], 1.0 / sum(map(len, groups))) for groups in split if groups[slot::processes])
     reader = io.BufferedReader(commands)
     for p in params:
         p.grad = None
@@ -395,21 +363,24 @@ def _weight_work(trainable: dict, ring, learning_rate: float, commands, results)
             kind, *args = pickle.load(reader)
         except EOFError:
             return
-        if kind == "grad":
+        if kind == "run":
+            groups, inv_count = next(mine)
+            for group in groups:
+                values = _train_group(model, scenario, group, hyper.loss_weights, inv_count)
+                workers.send(results, (values, [p.grad is not None for p in params]))
+                for p in params:
+                    if p.grad is not None:
+                        results.write(memoryview(np.ascontiguousarray(p.grad)).cast("B"))
+                        p.grad = None
+                results.flush()
+        elif kind == "grad":
             index, shapes, start = args
-            if start is None:
-                operands = [np.empty(shape) for shape in shapes]
-                for a in operands:
-                    if reader.readinto(memoryview(a.reshape(-1)).cast("B")) < a.nbytes:
-                        return
-            else:
-                operands = _ring_views(ring, shapes, start)
+            operands = _ring_views(ring, shapes, start)
             # a copy, as the ring's bytes are written again once consumed
             g = ad.Product(*operands).form() if len(operands) == 2 else np.array(operands[0])
             p = params[index]
             p.grad = g if p.grad is None else p.grad + g
-            if start is not None:
-                workers.send(results, start + sum(a.nbytes for a in operands))
+            workers.send(results, start + sum(a.nbytes for a in operands))
         elif kind == "final":
             optimizer.update(params[args[0]])
         else:
@@ -417,6 +388,20 @@ def _weight_work(trainable: dict, ring, learning_rate: float, commands, results)
             for p in params:
                 p.grad = None
             workers.send(results, None)
+
+
+def _receive(worker: workers.Worker, params) -> list:
+    """The losses of the worker's next group, whose gradients are added to
+    those of ``params`` as one more backward would."""
+    values, sent = worker.receive()
+    for p, has_grad in zip(params, sent):
+        if has_grad:
+            g = np.empty(p.data.shape)
+            worker.readinto(memoryview(g).cast("B"))
+            if p.grad is not None:
+                np.add(p.grad, g, out=g)  # p.grad + g, into the buffer just read
+            p.grad = g
+    return values
 
 
 def evaluate_loss(model: InversionModel, scenario: Scenario, samples, weights=(1.0, 1.0)) -> float:

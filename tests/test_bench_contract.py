@@ -10,10 +10,12 @@ does and checks that those spans are there.
 
 ``bench/stage.py`` opens a training step span at ``Adam.zero_grad``,
 closes it at ``Adam.step`` and wraps ``autodiff.backward``, all by name.
-Only the trainer process may call them, once per batch and once per
-group, or a process closes a span it never opened.
+Only the trainer process may call the first two, once per batch, or a
+process closes a span it never opened; ``backward`` runs once per group,
+in the process that runs the group.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -59,10 +61,10 @@ def test_traced_eval_records_its_own_predict_spans(tmp_path):
         assert name in names
 
 
-def test_only_the_trainer_marks_steps_and_runs_backward(tmp_path, monkeypatch):
-    """On 2 cores a plan of one-group batches trains beside a weight worker,
-    which forms the weight gradients and updates the parameters; it calls
-    none of the three methods the benchmark wraps."""
+def logged_training(tmp_path, monkeypatch) -> tuple:
+    """Train on 2 patched cores, logging each call, in any process, of the
+    three methods the benchmark wraps; returns the forked pids, the
+    ``(pid, name)`` calls and the batch count."""
     log = tmp_path / "calls.log"
 
     def logged(method, name):
@@ -84,9 +86,25 @@ def test_only_the_trainer_marks_steps_and_runs_backward(tmp_path, monkeypatch):
     apply_scenario(SCENARIOS["S3"], model)
     hyper = training.Hyper(epochs=2, batch_size=3)
     training.train_model(model, SCENARIOS["S3"], samples, [], hyper, seed=2)
+    return pids, [tuple(line.split()) for line in log.read_text().splitlines()], 2 * 3  # 7 utterances in 3s
 
-    calls = [line.split() for line in log.read_text().splitlines()]
+
+def test_only_the_trainer_marks_steps_and_runs_backward(tmp_path, monkeypatch):
+    """On 2 cores a plan of one-group batches trains beside worker 1,
+    which forms the weight gradients and updates the parameters; it calls
+    none of the three methods the benchmark wraps."""
+    pids, calls, batches = logged_training(tmp_path, monkeypatch)
     assert len(pids) == 1 and {pid for pid, _ in calls} == {str(os.getpid())}
-    names = [name for _, name in calls]
-    batches = 2 * 3  # 7 utterances in batches of 3, each one packed group
-    assert names == ["zero_grad", "backward", "step"] * batches
+    assert [name for _, name in calls] == ["zero_grad", "backward", "step"] * batches
+
+
+def test_only_the_trainer_marks_the_steps_of_split_batches(tmp_path, monkeypatch):
+    """On 2 cores with every utterance a packed group of its own, worker 1
+    runs groups, and so backward, and applies every update; only the
+    trainer marks the steps."""
+    monkeypatch.setattr(training, "pack_groups", functools.partial(training.pack_groups, limit=1))
+    pids, calls, batches = logged_training(tmp_path, monkeypatch)
+    marks = [(pid, name) for pid, name in calls if name != "backward"]
+    assert len(pids) == 1 and {pid for pid, _ in marks} == {str(os.getpid())}
+    assert [name for _, name in marks] == ["zero_grad", "step"] * batches
+    assert {pid for pid, name in calls if name == "backward"} == {str(os.getpid()), str(pids[0])}

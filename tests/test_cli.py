@@ -445,9 +445,10 @@ def split_every_batch(monkeypatch, cores=2):
 
 
 def training_workers(monkeypatch, mode, cores=2):
-    """Train on ``cores`` usable cores with group workers (``mode`` "split":
-    every batch packs into several groups) or a weight worker ("one_group":
-    the tiny corpora pack each batch into one group)."""
+    """Train on ``cores`` usable cores with every batch split over the
+    processes (``mode`` "split": each utterance packs into a group of its
+    own) or in one group ("one_group": the tiny corpora pack each batch into
+    one group), beside worker 1, which runs Adam."""
     if mode == "split":
         split_every_batch(monkeypatch, cores)
     else:
@@ -455,8 +456,8 @@ def training_workers(monkeypatch, mode, cores=2):
 
 
 def die_in_training_workers(monkeypatch, mode):
-    """A group worker dies as it starts a group, a weight worker as it
-    starts its first update."""
+    """A worker dies as it starts a group ("split") or as worker 1 starts
+    its first update ("one_group")."""
     caller = os.getpid()
     target, name = (training, "_train_group") if mode == "split" else (layers.Adam, "update")
     original = getattr(target, name)
@@ -506,7 +507,8 @@ def test_dead_training_worker_fails_its_fold(tmp_path, capfd, monkeypatch):
 
 
 def test_interrupted_training_leaves_no_worker(tmp_path, monkeypatch):
-    """On 3 cores: 2 group workers, or 1 weight worker."""
+    """On 3 cores, one worker per group of the largest batch but at least
+    one: 2 when batches split into 3 groups, 1 for one-group batches."""
     samples = load_manifest(synth(tmp_path, extra=["--utts", "4"]))
     caller = os.getpid()
     train_group = training._train_group
@@ -531,8 +533,8 @@ def test_interrupted_training_leaves_no_worker(tmp_path, monkeypatch):
 
 
 def test_dead_fold_worker_does_not_wait_for_its_gradient_workers(tmp_path, capfd, monkeypatch):
-    """A fold worker killed while its own gradient worker runs a group fails
-    its fold at once: that gradient worker holds no end of the fold
+    """A fold worker killed while its own training worker runs a group fails
+    its fold at once: that training worker holds no end of the fold
     worker's pipes, so the command exits 2 while it still runs."""
     manifest = synth(tmp_path, extra=["--speakers", "3", "--utts", "4"])
     split_every_batch(monkeypatch, cores=4)  # with --jobs 2, every fold trains on 2 processes
@@ -546,9 +548,9 @@ def test_dead_fold_worker_does_not_wait_for_its_gradient_workers(tmp_path, capfd
             fold_worker.append(os.getpid())
         return run_fold(plan, *args)
 
-    def dies_beside_its_gradient_worker(*args):
+    def dies_beside_its_training_worker(*args):
         if fold_worker and os.getpid() == fold_worker[0]:
-            os._exit(9)  # its gradient worker has started the batch's second group
+            os._exit(9)  # its training worker has started the batch's second group
         if fold_worker:
             (tmp_path / "pid").write_text(str(os.getpid()))
             os.replace(tmp_path / "pid", grandchild)
@@ -556,18 +558,18 @@ def test_dead_fold_worker_does_not_wait_for_its_gradient_workers(tmp_path, capfd
         return train_group(*args)
 
     monkeypatch.setattr(evaluation, "run_fold", marks_the_fold_worker)
-    monkeypatch.setattr(training, "_train_group", dies_beside_its_gradient_worker)
+    monkeypatch.setattr(training, "_train_group", dies_beside_its_training_worker)
     pids = forked_pids(monkeypatch)
     out = tmp_path / "loso"
     capfd.readouterr()
     started = time.monotonic()
     assert main(["loso", "--manifest", str(manifest), "--scenario", "S1", "--out", str(out), "--seed", "0",
                  *FAST_TRAIN, "--jobs", "2"]) == 2
-    assert time.monotonic() - started < 30  # the gradient worker sleeps for 60 s
+    assert time.monotonic() - started < 30  # the training worker sleeps for 60 s
     err = capfd.readouterr().err
     assert err.startswith("artinv: error: fold(s) failed") and "s02: worker process died" in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
-    for _ in range(100):  # the gradient worker may not have started its group yet
+    for _ in range(100):  # the training worker may not have started its group yet
         if grandchild.exists():
             break
         time.sleep(0.1)

@@ -257,7 +257,7 @@ def test_no_training_thread_is_alive_when_the_fold_pool_forks(tmp_path, monkeypa
 @pytest.mark.parametrize("jobs, forks", [(1, True), (2, False)])
 def test_folds_share_the_usable_cores(tmp_path, monkeypatch, jobs, forks):
     """Each fold trains on usable_cores() // jobs processes: with 2 cores,
-    --jobs 1 forks a gradient worker per fold and --jobs 2 forks none,
+    --jobs 1 forks a training worker per fold and --jobs 2 forks none,
     since the two fold processes already fill both cores."""
     samples = corpus(tmp_path, speakers=2, utts=4, seed=22)
     monkeypatch.setattr(workers, "usable_cores", lambda: 2)

@@ -2,7 +2,9 @@
 
 import functools
 import inspect
+import itertools
 import math
+import mmap
 import os
 import tracemalloc
 
@@ -473,8 +475,8 @@ class TestOptimizerInBackward:
 
 
 class TestTrainingCores:
-    """A batch of several packed groups splits them over forked gradient
-    workers; the parameters, Adam moments and losses do not change."""
+    """A batch of several packed groups splits them over forked workers;
+    the parameters and losses do not change."""
 
     @pytest.mark.parametrize("scenario", [S3, SCENARIOS["S2"]], ids=["S3", "S2"])
     def test_outputs_are_bitwise_those_of_one_core(self, monkeypatch, scenario):
@@ -497,10 +499,8 @@ class TestTrainingCores:
             assert params.keys() == reference.keys()
             for name in params:
                 assert params[name].tobytes() == reference[name].tobytes(), (cores, name)
-            assert optimizer._m.keys() == reference_optimizer._m.keys()
-            for name in optimizer._m:
-                assert optimizer._m[name].tobytes() == reference_optimizer._m[name].tobytes(), (cores, name)
-                assert optimizer._v[name].tobytes() == reference_optimizer._v[name].tobytes(), (cores, name)
+            # worker 1 holds the moments: this process's optimizer holds none
+            assert optimizer.params == {} and optimizer._m == {}
             assert optimizer.trace == reference_optimizer.trace
             assert optimizer.step_count == reference_optimizer.step_count
         # each epoch's batches span 3, 3 and 1 groups; this process ran
@@ -547,21 +547,21 @@ class TestTrainingCores:
         pipe and returns without running a group."""
         model = InversionModel(SMALL, seed=60)
         apply_scenario(S3, model)
-        params = [p for p in model.parameters().values() if p.requires_grad]
+        trainable = {n: p for n, p in model.parameters().items() if p.requires_grad}
         groups = [[s] for s in make_samples(2, seed=61)]
         command_r, command_w = os.pipe()
         result_r, result_w = os.pipe()
         os.close(command_w)
         with open(command_r, "rb", buffering=0) as commands, open(result_w, "wb") as results:
-            training._work(model, S3, params, [groups], (1.0, 1.0), 1, 2, commands, results)
+            training._work(model, S3, trainable, [groups], Hyper(), mmap.mmap(-1, 4096), 1, 2, commands, results)
         with open(result_r, "rb") as results:
             assert results.read() == b""
-        assert all(p.grad is None for p in params)
+        assert all(p.grad is None for p in trainable.values())
 
 
 class TestWeightWorker:
-    """A plan of one-group batches, on 2 or more cores, forks one weight
-    worker: it forms the weight gradients and runs Adam while this process
+    """On 2 or more cores, worker 1 runs Adam for every batch, and in a
+    one-group batch it also forms the weight gradients while this process
     backpropagates.  The parameters and losses do not change."""
 
     @pytest.mark.parametrize("scenario", [S3, SCENARIOS["S2"]], ids=["S3", "S2"])
@@ -594,13 +594,14 @@ class TestWeightWorker:
 
     @pytest.mark.parametrize("ring_bytes", [2**14, 2**17], ids=["ring_16k", "ring_128k"])
     def test_operands_larger_than_the_ring_are_still_bitwise(self, monkeypatch, ring_bytes):
-        """A 490-frame utterance, whose products' operands outgrow a small
-        ring and go down the command pipe, trains in one-group batches with
-        short ones, whose operands wrap round the ring."""
+        """A 490-frame utterance, whose products' operands outgrow the
+        ``RING_BYTES`` floor, so that the ring is sized from the plan,
+        trains in one-group batches with short ones, whose operands wrap
+        round the ring."""
         samples = make_samples(4, seed=65)
         samples[2] = make_samples(1, frames=490, seed=66)[0]
         sizes = []
-        contribute = training._WeightWorker.contribute
+        contribute = training._Keeper.contribute
 
         def measured(self, leaf, g):
             sizes.append(sum(a.nbytes for a in (g if isinstance(g, ad.Product) else (g,))))
@@ -609,7 +610,7 @@ class TestWeightWorker:
         results = {}
         with monkeypatch.context() as patch:
             patch.setattr(training, "RING_BYTES", ring_bytes)
-            patch.setattr(training._WeightWorker, "contribute", measured)
+            patch.setattr(training._Keeper, "contribute", measured)
             for cores in (1, 2):
                 model = InversionModel(SMALL, seed=68)
                 apply_scenario(S3, model)
@@ -619,10 +620,9 @@ class TestWeightWorker:
         assert results[2] == results[1]
         assert max(sizes) > ring_bytes and sum(size for size in sizes if size <= ring_bytes) > 2 * ring_bytes
 
-    def test_a_plan_with_one_split_batch_keeps_the_group_workers(self, monkeypatch, tmp_path):
+    def test_a_plan_with_one_split_batch_forks_one_worker(self, monkeypatch, tmp_path):
         """Of two batches, only the longer packs into several groups: the
-        plan runs on a group worker, which trains groups, and forks no
-        weight worker."""
+        plan forks one worker, which trains a group."""
         samples = make_samples(6, seed=70)
         hyper = Hyper(epochs=1, batch_size=3)
 
@@ -639,13 +639,9 @@ class TestWeightWorker:
                 fh.write(f"{os.getpid()}\n")
             return train_group(*args)
 
-        def no_weight_worker(*args):
-            raise AssertionError("a weight worker was forked")
-
         with monkeypatch.context() as patch:
             patch.setattr(training, "pack_groups", functools.partial(pack_groups, limit=totals[0]))
             patch.setattr(training, "_train_group", logged)
-            patch.setattr(training, "_weight_worker", no_weight_worker)
             assert totals[1] > totals[0] and sorted(len(groups) for groups in plan())[0] == 1
             pids = forked_pids(patch)
             model = InversionModel(SMALL, seed=72)
@@ -653,3 +649,47 @@ class TestWeightWorker:
             train_model(model, S3, samples, [], hyper, seed=71, cores=2)
         assert len(pids) == 1
         assert set(log.read_text().split()) == {str(os.getpid()), str(pids[0])}
+
+    def test_a_mixed_plan_is_bitwise_and_worker_1_runs_every_update(self, monkeypatch, tmp_path):
+        """Batches of 1 and 2 groups in one plan; the 2-group batch's last
+        group runs on worker 1.  At 2 cores worker 1 makes every update and
+        forms every weight product of the one-group batches."""
+        log = tmp_path / "calls.log"
+        running = []  # the group count of each batch this process has started
+        train_batch, form, update = training._train_batch, ad.Product.form, layers.Adam.update
+
+        def counted(model, scenario, groups, *args):
+            running.append(len(groups))
+            return train_batch(model, scenario, groups, *args)
+
+        def logged(method, name):
+            def logging(self, *args):  # in any process; a worker forked before the first batch
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()} {name} {running[-1] if running else 0}\n")
+                return method(self, *args)
+            return logging
+
+        monkeypatch.setattr(training, "_train_batch", counted)
+        monkeypatch.setattr(ad.Product, "form", logged(form, "form"))
+        monkeypatch.setattr(layers.Adam, "update", logged(update, "update"))
+        results = {}
+        for cores in (1, 2, 3):
+            # 2 epochs of batches of 3, 3 and 1 utterances, packed into 2, 1, 1
+            # and 1, 2, 1 groups (the validation set, of 2, into 1)
+            batches = itertools.count()
+            monkeypatch.setattr(training, "pack_groups", lambda batch: [batch] if next(batches) % 2 or len(batch) < 3
+                                else [batch[:2], batch[2:]])
+            pids = forked_pids(monkeypatch)
+            log.write_text("")
+            running.clear()
+            params, optimizer = trained(monkeypatch, S3, cores=cores)
+            assert len(pids) == (cores > 1)
+            assert sorted(running) == [1, 1, 1, 1, 2, 2]
+            results[cores] = ({n: a.tobytes() for n, a in params.items()}, optimizer.trace,
+                              optimizer.step_count, optimizer.calls)
+            if cores == 2:
+                calls = [line.split() for line in log.read_text().splitlines()]
+                assert {pid for pid, name, _ in calls if name == "update"} == {str(pids[0])}
+                assert {(pid, count) for pid, name, count in calls if name == "form" and count != "2"} \
+                    == {(str(pids[0]), "0")}
+        assert results[2] == results[1] and results[3] == results[1]
