@@ -13,20 +13,23 @@ its gradient is final, and ``step`` updates any it did not reach.  On 2 or
 more, the trainable parameters move into one shared anonymous mapping and
 n - 1 workers are forked once per ``train_model``, n being the most groups
 in a batch, at least 2 and at most the cores.  Group ``i`` of a split batch
-runs, through ``_train_group``, in process ``i % n``: 0 is this one.  A
-worker streams each group's losses and gradients back once the group is
-done, and this process adds them to its own in group order, so each
-parameter sums ``((g1 + g2) + g3) + ...`` as one process does.
+runs, through ``_train_group``, in process ``i % n``: 0 is this one.
 
-Worker 1 also holds the Adam moments and applies every update.  In a
-one-group batch this process hands it every contribution to a parameter's
-gradient, a weight gradient as the operands of its GEMM unformed
-(``autodiff.Product``); in a split batch, each parameter's final sum.  The
-worker adds them in arrival order and updates each parameter once its
-gradient is final, while this process backpropagates on, and this process
-waits for the batch's last update before the next forward.  Its own
-optimizer holds no parameter: its ``zero_grad`` and ``step`` only mark the
-batches.  Parameters, moments and losses are bitwise those of one process.
+Every gradient between two processes goes through the worker's shared
+ring: the writer copies it in, and the reader adds it to the parameter's
+gradient in arrival order and answers with the position it consumed.  A
+worker sends each group's gradients once the group is done, and this
+process adds them in group order, so each parameter sums ``((g1 + g2) +
+g3) + ...`` as one process does.  Worker 1 also holds the Adam moments and
+applies every update.  The batch's last group, when it runs here, hands
+worker 1 every contribution to a parameter's gradient after the sum the
+earlier groups left, a weight gradient as the operands of its GEMM unformed
+(``autodiff.Product``); after a worker's last group, this process hands it
+the sums.  Worker 1 updates each parameter once its gradient is final,
+while this process backpropagates on, and this process waits for the
+batch's last update before the next forward.  Its own optimizer holds no
+parameter: its ``zero_grad`` and ``step`` only mark the batches.
+Parameters, moments and losses are bitwise those of one process.
 """
 
 from __future__ import annotations
@@ -190,17 +193,17 @@ def train_model(model: InversionModel, scenario: Scenario, train_samples, val_sa
 
     params = list(trainable.values())
     trace = []
-    with _workers(model, scenario, trainable, plan, hyper, processes) as (keeper, forked):
+    with _workers(model, scenario, trainable, plan, hyper, processes) as (channel, forked):
         # beside worker 1, which holds the moments and applies every update,
         # this process's optimizer holds no parameter: its calls only mark
         # the batches
-        optimizer = Adam({} if keeper else trainable, learning_rate=hyper.learning_rate)
+        optimizer = Adam({} if channel else trainable, learning_rate=hyper.learning_rate)
         for epoch, batches in enumerate(plan, start=1):
             epoch_losses = []
             for groups in batches:
                 optimizer.zero_grad()
                 epoch_losses += _train_batch(model, scenario, groups, hyper.loss_weights, optimizer, params,
-                                             keeper, forked)
+                                             channel, forked)
                 optimizer.step()
             train_loss = float(np.mean(epoch_losses))
             val_loss = evaluate_loss(model, scenario, val_samples, hyper.loss_weights) if val_samples else float("nan")
@@ -210,35 +213,29 @@ def train_model(model: InversionModel, scenario: Scenario, train_samples, val_sa
 
 
 def _train_batch(model: InversionModel, scenario: Scenario, groups, weights, optimizer: Adam, params,
-                 keeper, forked) -> list:
-    """One batch's groups on this process and the ``forked`` workers;
-    returns the per-utterance losses in batch order.  Every worker group
-    comes before the last and has been read by the time a parameter is
-    updated, so no worker reads a parameter while it changes.  With a
-    ``keeper`` (worker 1), this returns once it has applied the batch's
-    update; without, ``optimizer`` updates in the last group's backward."""
+                 channel, forked) -> list:
+    """One batch's groups on this process and the ``forked`` (worker, ring)
+    pairs; returns the per-utterance losses in batch order.  Every worker
+    group comes before the last and has been read by the time a parameter
+    is updated, so no worker reads a parameter while it changes.  The last
+    group, run here, updates in its backward by ``optimizer`` or through
+    ``channel``, to worker 1, which gets the sums a worker's last group left."""
     inv_count = 1.0 / sum(map(len, groups))
-    if keeper is None:
-        on_leaf, on_grad = optimizer.update, None
-    elif len(groups) == 1:
-        on_leaf, on_grad = keeper.final, keeper.contribute
-    else:
-        on_leaf, on_grad = keeper.hand, None
+    last = (optimizer.update, None) if channel is None else (channel.final, channel.contribute)
     n = len(forked) + 1
-    for worker in forked[:len(groups) - 1]:
+    for worker, _ in forked[:len(groups) - 1]:
         worker.go(pickle.dumps(("run",)))
     values = []
     for i, group in enumerate(groups):
         if i % n:
-            values += _receive(forked[i % n - 1], params)
+            values += _receive(*forked[i % n - 1], params)
         else:
-            last = i == len(groups) - 1
-            values += _train_group(model, scenario, group, weights, inv_count, on_leaf if last else None, on_grad)
-    if keeper is not None:
+            values += _train_group(model, scenario, group, weights, inv_count, *(last if i == len(groups) - 1 else ()))
+    if channel is not None:
         for p in params:  # the sums a worker's last group finished
             if p.grad is not None:
-                keeper.hand(p)
-        keeper.finish()
+                channel.final(p)
+        channel.finish()
     return values
 
 
@@ -267,19 +264,21 @@ def _ring_bytes(params, plan) -> int:
 
 @contextlib.contextmanager
 def _workers(model: InversionModel, scenario: Scenario, trainable: dict, plan, hyper: Hyper, processes: int):
-    """Share the parameters of ``trainable``, make the ring and fork
-    ``processes - 1`` workers for ``plan``; yields this process's
-    ``_Keeper`` of worker 1 and the workers (None and none for 1 process)."""
+    """Share the parameters of ``trainable`` and fork ``processes - 1``
+    workers for ``plan``, each with a ring; yields this process's
+    ``_Channel`` to worker 1 and the (worker, ring) pairs (None and none
+    for 1 process)."""
     if processes == 1:
         yield None, []
         return
     params = list(trainable.values())
     _share(params)
-    ring = mmap.mmap(-1, _ring_bytes(params, plan))
+    rings = [mmap.mmap(-1, _ring_bytes(params, plan)) for _ in range(1, processes)]
     split = [groups for batches in plan for groups in batches if len(groups) > 1]
     with workers.forked([functools.partial(_work, model, scenario, trainable, split, hyper, ring, slot, processes)
-                         for slot in range(1, processes)], "training worker process died") as forked:
-        yield _Keeper(forked[0], ring, params), forked
+                         for slot, ring in enumerate(rings, start=1)], "training worker process died") as forked:
+        channel = _Channel(rings[0], params, lambda message: forked[0].go(pickle.dumps(message)), forked[0].receive)
+        yield channel, list(zip(forked, rings))
 
 
 def _ring_views(ring, shapes, start: int) -> list:
@@ -293,49 +292,63 @@ def _ring_views(ring, shapes, start: int) -> list:
     return views
 
 
-class _Keeper:
-    """This process's end of worker 1, which keeps the Adam moments.  Each
-    gradient contribution is copied into the shared ``ring``; the worker
-    sends back the ring position it has consumed up to, so a copy waits
-    only while the ring is full."""
+class _Channel:
+    """The writing end of a worker's shared ``ring``.  Each gradient
+    contribution is copied into it and announced by ``send`` as a ``grad``
+    message; the reader answers with the ring position it has consumed up
+    to, which ``consumed`` reads, so a copy waits only while the ring is
+    full."""
 
-    def __init__(self, worker: workers.Worker, ring, params):
-        self.worker, self.ring = worker, ring
+    def __init__(self, ring, params, send, consumed):
+        self.ring, self.send, self.consumed = ring, send, consumed
         self.index = {id(p): i for i, p in enumerate(params)}
         self.head = self.tail = 0  # ring bytes ever written, and ever consumed
 
     def contribute(self, leaf: Tensor, g) -> None:
-        """Backward's ``on_grad``: send the worker one contribution to
-        ``leaf``'s gradient, a weight ``Product`` unformed."""
-        operands = tuple(g) if isinstance(g, ad.Product) else (g,)
-        shapes = tuple(a.shape for a in operands)
-        size, capacity = sum(a.nbytes for a in operands), len(self.ring)
-        start = self.head
-        if start % capacity + size > capacity:
-            start += capacity - start % capacity  # a contribution does not wrap round
-        while self.tail < self.head and start + size - self.tail > capacity:  # it would overwrite unread bytes
-            self.tail = self.worker.receive()
-        self.head = start + size
-        for view, a in zip(_ring_views(self.ring, shapes, start), operands):
-            view[...] = a
-        self.worker.go(pickle.dumps(("grad", self.index[id(leaf)], shapes, start)))
+        """Backward's ``on_grad``: send the sum ``leaf.grad`` holds, if any,
+        dropping it, then the contribution ``g`` (a weight ``Product``
+        unformed; None for none)."""
+        held, leaf.grad = leaf.grad, None
+        for part in [a for a in (held, g) if a is not None]:
+            operands = tuple(part) if isinstance(part, ad.Product) else (part,)
+            shapes = tuple(a.shape for a in operands)
+            size, capacity = sum(a.nbytes for a in operands), len(self.ring)
+            start = self.head
+            if start % capacity + size > capacity:
+                start += capacity - start % capacity  # a contribution does not wrap round
+            while self.tail < self.head and start + size - self.tail > capacity:  # it would overwrite unread bytes
+                self.tail = self.consumed()
+            self.head = start + size
+            for view, a in zip(_ring_views(self.ring, shapes, start), operands):
+                view[...] = a
+            self.send(("grad", self.index[id(leaf)], shapes, start))
 
     def final(self, leaf: Tensor) -> None:
-        """Backward's ``on_leaf``: the worker may update ``leaf`` now."""
-        self.worker.go(pickle.dumps(("final", self.index[id(leaf)])))
-
-    def hand(self, leaf: Tensor) -> None:
-        """Send the worker ``leaf``'s final gradient, summed here, and drop it."""
-        self.contribute(leaf, leaf.grad)
-        self.final(leaf)
-        leaf.grad = None
+        """Backward's ``on_leaf``: after any sum ``leaf`` holds, the reader
+        may update ``leaf`` now."""
+        self.contribute(leaf, None)
+        self.send(("final", self.index[id(leaf)]))
 
     def finish(self) -> None:
-        """Close the batch and wait until the worker has updated every
+        """Close the batch and wait until worker 1 has updated every
         parameter."""
-        self.worker.go(pickle.dumps(("end",)))
-        while (position := self.worker.receive()) is not None:
+        self.send(("end",))
+        while (position := self.consumed()) is not None:
             self.tail = position
+
+
+def _absorb(ring, params, index: int, shapes, start: int) -> int:
+    """Add the contribution at ``start`` in ``ring`` (a weight product's two
+    operands, or an array) to the gradient of ``params[index]`` in arrival
+    order, as backward does; returns the ring position consumed."""
+    operands = _ring_views(ring, shapes, start)
+    g = ad.Product(*operands).form() if len(operands) == 2 else operands[0]
+    p = params[index]
+    if p.grad is not None:
+        p.grad = p.grad + g
+    else:  # a copy of a ring array, as its bytes are written again once consumed
+        p.grad = g if len(operands) == 2 else g.copy()
+    return start + sum(a.nbytes for a in operands)
 
 
 def _work(model: InversionModel, scenario: Scenario, trainable: dict, split, hyper: Hyper, ring, slot: int,
@@ -344,18 +357,18 @@ def _work(model: InversionModel, scenario: Scenario, trainable: dict, split, hyp
     ``commands``; returns when they end.
 
     ``run``: run groups ``slot``, ``slot + processes``, ... of the next
-    batch in ``split`` that has any, sending each group's losses and the
-    mask of parameters with a gradient, then those gradients raw, releasing
-    each once written.  Worker 1 alone also gets ``grad``: form a gradient
-    contribution from the ring and add it to its parameter's gradient in
-    arrival order (as backward does), sending back the ring position
-    consumed; ``final``: update that parameter by ``Adam.update``; and
-    ``end``: update the rest by ``Adam.finish`` and send ``None``.  It holds
-    the Adam moments."""
+    batch in ``split`` that has any, sending each group's gradients through
+    this worker's ``ring`` and then its losses; ``consumed``: the position
+    up to which the trainer has read the ring.  Worker 1 alone also gets
+    ``grad``: add a contribution from the ring (``_absorb``), sending back
+    the position consumed; ``final``: update that parameter by
+    ``Adam.update``; and ``end``: update the rest by ``Adam.finish`` and
+    send ``None``.  It holds the Adam moments."""
     params = list(trainable.values())
     optimizer = Adam(trainable if slot == 1 else {}, learning_rate=hyper.learning_rate)
     mine = ((groups[slot::processes], 1.0 / sum(map(len, groups))) for groups in split if groups[slot::processes])
     reader = io.BufferedReader(commands)
+    channel = _Channel(ring, params, functools.partial(workers.send, results), lambda: pickle.load(reader)[1])
     for p in params:
         p.grad = None
     while True:
@@ -367,20 +380,13 @@ def _work(model: InversionModel, scenario: Scenario, trainable: dict, split, hyp
             groups, inv_count = next(mine)
             for group in groups:
                 values = _train_group(model, scenario, group, hyper.loss_weights, inv_count)
-                workers.send(results, (values, [p.grad is not None for p in params]))
                 for p in params:
-                    if p.grad is not None:
-                        results.write(memoryview(np.ascontiguousarray(p.grad)).cast("B"))
-                        p.grad = None
-                results.flush()
+                    channel.contribute(p, None)
+                workers.send(results, ("done", values))
+        elif kind == "consumed":
+            channel.tail = args[0]
         elif kind == "grad":
-            index, shapes, start = args
-            operands = _ring_views(ring, shapes, start)
-            # a copy, as the ring's bytes are written again once consumed
-            g = ad.Product(*operands).form() if len(operands) == 2 else np.array(operands[0])
-            p = params[index]
-            p.grad = g if p.grad is None else p.grad + g
-            workers.send(results, start + sum(a.nbytes for a in operands))
+            workers.send(results, _absorb(ring, params, *args))
         elif kind == "final":
             optimizer.update(params[args[0]])
         else:
@@ -390,18 +396,12 @@ def _work(model: InversionModel, scenario: Scenario, trainable: dict, split, hyp
             workers.send(results, None)
 
 
-def _receive(worker: workers.Worker, params) -> list:
-    """The losses of the worker's next group, whose gradients are added to
-    those of ``params`` as one more backward would."""
-    values, sent = worker.receive()
-    for p, has_grad in zip(params, sent):
-        if has_grad:
-            g = np.empty(p.data.shape)
-            worker.readinto(memoryview(g).cast("B"))
-            if p.grad is not None:
-                np.add(p.grad, g, out=g)  # p.grad + g, into the buffer just read
-            p.grad = g
-    return values
+def _receive(worker: workers.Worker, ring, params) -> list:
+    """The losses of the worker's next group, whose gradients come through
+    its ``ring`` and add to those of ``params`` as one more backward would."""
+    while (message := worker.receive())[0] == "grad":
+        worker.go(pickle.dumps(("consumed", _absorb(ring, params, *message[1:]))))
+    return message[1]
 
 
 def evaluate_loss(model: InversionModel, scenario: Scenario, samples, weights=(1.0, 1.0)) -> float:

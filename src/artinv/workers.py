@@ -5,7 +5,7 @@ samples, shared parameters) instead of unpickling it.  It ignores SIGINT,
 since its parent ends it, leaves by ``os._exit``, and closes every worker
 pipe end it inherited, so each pipe ends with its two processes.  Its
 results come back as pickled frames, each a value or the exception it
-raised, with raw buffers between them where the caller wants them.
+raised.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class Worker:
         self.commands, self.results, self.died = open(command_w, "wb", buffering=0), open(result_r, "rb"), died
         _ends.update((self.commands, self.results))
 
-    def go(self, command=b"\x01") -> None:
-        """Send the worker the bytes of ``command``, one byte by default."""
+    def go(self, command) -> None:
+        """Send the worker the bytes of ``command``."""
         view = memoryview(command).cast("B")
         try:
             while view:
@@ -92,11 +92,6 @@ class Worker:
             exc, trace = value
             raise exc from RuntimeError(f"in worker process {self.pid}:\n{trace}")
         return value
-
-    def readinto(self, buffer: memoryview) -> None:
-        """Fill the byte view ``buffer`` with the worker's next raw bytes."""
-        if self.results.readinto(buffer) < len(buffer):
-            raise WorkerDied(self.died)
 
     def _read(self, size: int) -> bytes:
         data = self.results.read(size)

@@ -1,5 +1,6 @@
 """Model assembly, joint loss, scenario semantics, and the training loop."""
 
+import dataclasses
 import functools
 import inspect
 import itertools
@@ -560,9 +561,10 @@ class TestTrainingCores:
 
 
 class TestWeightWorker:
-    """On 2 or more cores, worker 1 runs Adam for every batch, and in a
-    one-group batch it also forms the weight gradients while this process
-    backpropagates.  The parameters and losses do not change."""
+    """On 2 or more cores, worker 1 runs Adam for every batch, and when a
+    batch's last group runs in this process, worker 1 also forms that
+    group's weight gradients while this process backpropagates.  The
+    parameters and losses do not change."""
 
     @pytest.mark.parametrize("scenario", [S3, SCENARIOS["S2"]], ids=["S3", "S2"])
     def test_outputs_are_bitwise_those_of_one_core(self, monkeypatch, scenario):
@@ -592,33 +594,53 @@ class TestWeightWorker:
         pids = set(log.read_text().split())
         assert len(pids) == 1 and str(os.getpid()) not in pids
 
-    @pytest.mark.parametrize("ring_bytes", [2**14, 2**17], ids=["ring_16k", "ring_128k"])
-    def test_operands_larger_than_the_ring_are_still_bitwise(self, monkeypatch, ring_bytes):
-        """A 490-frame utterance, whose products' operands outgrow the
-        ``RING_BYTES`` floor, so that the ring is sized from the plan,
-        trains in one-group batches with short ones, whose operands wrap
-        round the ring."""
-        samples = make_samples(4, seed=65)
-        samples[2] = make_samples(1, frames=490, seed=66)[0]
-        sizes = []
-        contribute = training._Keeper.contribute
+    @pytest.mark.parametrize("ring_bytes, split", [(2**14, False), (2**17, False), (2**14, True), (2**17, True)],
+                             ids=["ring_16k", "ring_128k", "split_ring_16k", "split_ring_128k"])
+    def test_operands_larger_than_the_ring_are_still_bitwise(self, monkeypatch, tmp_path, ring_bytes, split):
+        """One-group batches: a 490-frame utterance, whose products' operands
+        outgrow the ``RING_BYTES`` floor, so that the ring is sized from the
+        plan, trains with short ones, whose operands wrap round the ring.
+        Split batches: each utterance is a group, and the gradients of each
+        worker group, of a wider model, outgrow the ring, so the worker
+        waits for this process to read them."""
+        log = tmp_path / "contributions.log"
+        contribute = training._Channel.contribute
 
-        def measured(self, leaf, g):
-            sizes.append(sum(a.nbytes for a in (g if isinstance(g, ad.Product) else (g,))))
+        def measured(self, leaf, g):  # in any process
+            with open(log, "a") as fh:
+                for part in (leaf.grad, g):
+                    if part is not None:
+                        size = sum(a.nbytes for a in (part if isinstance(part, ad.Product) else (part,)))
+                        fh.write(f"{os.getpid()} {size} {len(self.ring)}\n")
             return contribute(self, leaf, g)
 
+        samples = make_samples(6 if split else 4, seed=65)
+        if split:
+            config, hyper = dataclasses.replace(SMALL, blstm_hidden=16), Hyper(epochs=2, batch_size=3)
+        else:
+            config, hyper = SMALL, Hyper(epochs=2, batch_size=2)
+            samples[2] = make_samples(1, frames=490, seed=66)[0]
         results = {}
         with monkeypatch.context() as patch:
             patch.setattr(training, "RING_BYTES", ring_bytes)
-            patch.setattr(training._Keeper, "contribute", measured)
-            for cores in (1, 2):
-                model = InversionModel(SMALL, seed=68)
+            patch.setattr(training._Channel, "contribute", measured)
+            if split:
+                patch.setattr(training, "pack_groups", functools.partial(pack_groups, limit=9))
+            for cores in (1, 2, 3):
+                model = InversionModel(config, seed=68)
                 apply_scenario(S3, model)
-                result = train_model(model, S3, samples, samples[1:3], Hyper(epochs=2, batch_size=2), seed=69,
-                                     cores=cores)
+                result = train_model(model, S3, samples, samples[1:3], hyper, seed=69, cores=cores)
                 results[cores] = ({n: p.data.tobytes() for n, p in model.parameters().items()}, result.trace)
-        assert results[2] == results[1]
-        assert max(sizes) > ring_bytes and sum(size for size in sizes if size <= ring_bytes) > 2 * ring_bytes
+        assert results[2] == results[1] and results[3] == results[1]
+        rows = [[int(field) for field in line.split()] for line in log.read_text().splitlines()]
+        if split:
+            # every worker group sends every trainable parameter's gradient
+            group_bytes = sum(p.data.nbytes for p in model.parameters().values() if p.requires_grad)
+            assert any(pid != os.getpid() for pid, _, _ in rows)
+            assert group_bytes > max(capacity for _, _, capacity in rows) >= ring_bytes
+        else:
+            sizes = [size for pid, size, _ in rows if pid == os.getpid()]
+            assert max(sizes) > ring_bytes and sum(size for size in sizes if size <= ring_bytes) > 2 * ring_bytes
 
     def test_a_plan_with_one_split_batch_forks_one_worker(self, monkeypatch, tmp_path):
         """Of two batches, only the longer packs into several groups: the
@@ -651,45 +673,55 @@ class TestWeightWorker:
         assert set(log.read_text().split()) == {str(os.getpid()), str(pids[0])}
 
     def test_a_mixed_plan_is_bitwise_and_worker_1_runs_every_update(self, monkeypatch, tmp_path):
-        """Batches of 1 and 2 groups in one plan; the 2-group batch's last
-        group runs on worker 1.  At 2 cores worker 1 makes every update and
-        forms every weight product of the one-group batches."""
+        """Batches of 1, 2 and 3 groups in one plan.  The 2-group batch's
+        last group runs on worker 1; the 3-group batch's runs here at 2
+        cores and on worker 2 at 3.  At 2 cores worker 1 makes every update
+        and forms every weight product of each batch's last group, so this
+        process forms only those of the groups before it."""
         log = tmp_path / "calls.log"
-        running = []  # the group count of each batch this process has started
-        train_batch, form, update = training._train_batch, ad.Product.form, layers.Adam.update
+        running = []  # [group count, groups run here so far] of each batch this process has started
+        train_batch, train_group = training._train_batch, training._train_group
+        form, update = ad.Product.form, layers.Adam.update
 
         def counted(model, scenario, groups, *args):
-            running.append(len(groups))
+            running.append([len(groups), 0])
             return train_batch(model, scenario, groups, *args)
 
+        def started(*args):
+            if running:
+                running[-1][1] += 1
+            return train_group(*args)
+
         def logged(method, name):
-            def logging(self, *args):  # in any process; a worker forked before the first batch
+            def logging(self, *args):  # in any process; a worker forked before the first batch logs 0
                 with open(log, "a") as fh:
-                    fh.write(f"{os.getpid()} {name} {running[-1] if running else 0}\n")
+                    fh.write(f"{os.getpid()} {name} {'{}:{}'.format(*running[-1]) if running else 0}\n")
                 return method(self, *args)
             return logging
 
         monkeypatch.setattr(training, "_train_batch", counted)
+        monkeypatch.setattr(training, "_train_group", started)
         monkeypatch.setattr(ad.Product, "form", logged(form, "form"))
         monkeypatch.setattr(layers.Adam, "update", logged(update, "update"))
         results = {}
         for cores in (1, 2, 3):
-            # 2 epochs of batches of 3, 3 and 1 utterances, packed into 2, 1, 1
-            # and 1, 2, 1 groups (the validation set, of 2, into 1)
-            batches = itertools.count()
-            monkeypatch.setattr(training, "pack_groups", lambda batch: [batch] if next(batches) % 2 or len(batch) < 3
-                                else [batch[:2], batch[2:]])
+            # 3 epochs of batches of 3, 3 and 1 utterances, packed into 2, 1, 1;
+            # 1, 2, 1; and 3, 1, 1 groups (the validation set, of 2, into 1)
+            cuts = iter([(2,), (), (), (), (2,), (), (1, 2)])
+            monkeypatch.setattr(training, "pack_groups", lambda batch: [
+                batch[a:b] for a, b in itertools.pairwise((0, *next(cuts, ()), len(batch)))])
             pids = forked_pids(monkeypatch)
             log.write_text("")
             running.clear()
-            params, optimizer = trained(monkeypatch, S3, cores=cores)
-            assert len(pids) == (cores > 1)
-            assert sorted(running) == [1, 1, 1, 1, 2, 2]
+            params, optimizer = trained(monkeypatch, S3, epochs=3, cores=cores)
+            assert len(pids) == min(cores, 3) - 1
+            assert sorted(count for count, _ in running) == [1] * 6 + [2, 2, 3]
             results[cores] = ({n: a.tobytes() for n, a in params.items()}, optimizer.trace,
                               optimizer.step_count, optimizer.calls)
             if cores == 2:
                 calls = [line.split() for line in log.read_text().splitlines()]
                 assert {pid for pid, name, _ in calls if name == "update"} == {str(pids[0])}
-                assert {(pid, count) for pid, name, count in calls if name == "form" and count != "2"} \
-                    == {(str(pids[0]), "0")}
+                here = str(os.getpid())
+                assert {(pid, batch) for pid, name, batch in calls if name == "form"} \
+                    == {(str(pids[0]), "0"), (here, "2:1"), (here, "3:1")}
         assert results[2] == results[1] and results[3] == results[1]
