@@ -253,17 +253,17 @@ def layer_norm(x, gain, offset, epsilon: float) -> Tensor:
     return _make(n * gain.data + offset.data, "layer_norm", (x, gain, offset), vjp)
 
 
-def conv1d(x, w, b=None, lengths=None) -> Tensor:
+def conv1d(x, w, b, lengths=None) -> Tensor:
     """Length-preserving 1-D cross-correlation over the time axis.
 
     ``x`` is [T, C_in], ``w`` is [C_out, C_in, K] with K odd, ``b`` is
-    [C_out] or None.  The input gets (K - 1) / 2 zero rows at each end, and
+    [C_out].  The input gets (K - 1) / 2 zero rows at each end, and
     no kernel flip is applied: output
     ``y[t, o] = b[o] + sum_{c,k} w[o, c, k] * x_padded[t + k, c]``.
     With ``lengths``, ``x`` packs several sequences along T and each one is
     padded on its own, so no window reads across a boundary.
     """
-    x, w = _as_tensor(x), _as_tensor(w)
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 3:
         raise ShapeError(f"conv1d: expects x [T, C_in] and w [C_out, C_in, K], got {x.data.shape} and {w.data.shape}")
     t_in, c_in = x.data.shape
@@ -274,13 +274,8 @@ def conv1d(x, w, b=None, lengths=None) -> Tensor:
         raise ShapeError(f"conv1d: kernel size must be odd, got {k}")
     pad = (k - 1) // 2
     lens = _segments(lengths, t_in, "conv1d")
-
-    parents = [x, w]
-    if b is not None:
-        b = _as_tensor(b)
-        if b.data.shape != (c_out,):
-            raise ShapeError(f"conv1d: bias shape {b.data.shape} does not match {c_out} output channels")
-        parents.append(b)
+    if b.data.shape != (c_out,):
+        raise ShapeError(f"conv1d: bias shape {b.data.shape} does not match {c_out} output channels")
 
     # segment s occupies T_s + 2 pad rows of the padded input, its frames
     # after its first pad rows; output t's window starts pad rows before t
@@ -290,9 +285,7 @@ def conv1d(x, w, b=None, lengths=None) -> Tensor:
     xp = np.zeros((t_in + 2 * pad * lens.size, c_in))
     xp[rows_in] = x.data
     windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)[rows_out]  # [T, C_in, K]
-    y = np.tensordot(windows, w.data, axes=([1, 2], [1, 2]))
-    if b is not None:
-        y = y + b.data
+    y = np.tensordot(windows, w.data, axes=([1, 2], [1, 2])) + b.data
 
     def vjp(g):
         gw = np.tensordot(g, windows, axes=(0, 0))  # [C_out, C_in, K]
@@ -300,11 +293,9 @@ def conv1d(x, w, b=None, lengths=None) -> Tensor:
         g_all[rows_out] = g
         gwin = np.lib.stride_tricks.sliding_window_view(np.pad(g_all, ((k - 1, k - 1), (0, 0))), k, axis=0)
         gx = np.tensordot(gwin, w.data[:, :, ::-1], axes=([1, 2], [0, 2]))[rows_in]
-        if b is not None:
-            return gx, gw, g.sum(axis=0)
-        return gx, gw
+        return gx, gw, g.sum(axis=0)
 
-    return _make(y, "conv1d", parents, vjp)
+    return _make(y, "conv1d", (x, w, b), vjp)
 
 
 def _sigmoid_(a: np.ndarray) -> None:

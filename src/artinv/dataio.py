@@ -19,6 +19,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -129,7 +130,7 @@ def _load_utterance(utt_id, speaker_id, base: Path, feat_rel, align_rel, ema_rel
         mfcc = feat.compute_mfcc(audio, rate, cfg)
         hop_s = cfg.hop_seconds(rate)
     else:
-        mfcc = feat.read_matrix_csv(feat_path, cfg.feature_dim)
+        mfcc = feat.read_matrix_csv(feat_path, feat.FEATURE_DIM)
         hop_s = cfg.hop_seconds()
     _require_finite(feat_path, mfcc, "feature value")
     frames = mfcc.shape[0]
@@ -173,9 +174,9 @@ class SyntheticSpec:
     seed: int = 0
     duration_range: tuple = (5, 20)
     phones_range: tuple = (2, 5)
-    anchor_scale: float = 8.0
+    anchor_scale: ClassVar[float] = 8.0
     acoustic_ema_scale: float = 0.1
-    hop_s: float = 0.01
+    hop_s: ClassVar[float] = 0.01
 
     def __post_init__(self):
         for name, count in (("smoothing width", self.smoothing), ("speakers", self.speakers),

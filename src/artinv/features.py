@@ -43,21 +43,24 @@ assert len(ARPABET_39) == 39
 assert len(set(ARPABET_39)) == 39
 
 
+# The fixed MFCC stages: the speech stream reads 13 cepstra with their
+# deltas and delta-deltas.
+CEPSTRA = 13
+FEATURE_DIM = 3 * CEPSTRA
+PRE_EMPHASIS = 0.97
+LOG_FLOOR = 1e-10
+DELTA_WINDOW = 2
+
+
 @dataclass(frozen=True)
 class MfccConfig:
-    """MFCC pipeline settings.  ``sample_rate`` of None accepts whatever the
-    audio file carries (rates below 8 kHz are always rejected).  A window or
-    hop that is not finite and positive, or fewer than one mel filter, is a
-    ``UsageError``."""
+    """The MFCC settings a run may choose; the other stages are fixed.  A
+    window or hop that is not finite and positive, or fewer than one mel
+    filter, is a ``UsageError``."""
 
-    sample_rate: int | None = None
     window_ms: float = 25.0
     hop_ms: float = 10.0
     mel_filters: int = 26
-    cepstra: int = 13
-    pre_emphasis: float = 0.97
-    log_floor: float = 1e-10
-    delta_window: int = 2
 
     def __post_init__(self):
         for name, ms in (("window", self.window_ms), ("hop", self.hop_ms)):
@@ -65,10 +68,6 @@ class MfccConfig:
                 raise UsageError(f"{name} length must be finite and positive, got {ms} ms")
         if self.mel_filters < 1:
             raise UsageError(f"mel filter count must be at least 1, got {self.mel_filters}")
-
-    @property
-    def feature_dim(self) -> int:
-        return self.cepstra * 3
 
     def hop_seconds(self, rate: int | None = None) -> float:
         if rate is None:
@@ -86,7 +85,10 @@ def feature_config_hash(cfg: MfccConfig) -> str:
     """Stable digest of everything the feature streams depend on; stored in
     checkpoints so a model is never scored against differently-built inputs."""
     payload = {
-        "mfcc": asdict(cfg),
+        # the fixed stages under the keys they had as settings, so the
+        # digests of existing checkpoints hold
+        "mfcc": {**asdict(cfg), "sample_rate": None, "cepstra": CEPSTRA, "pre_emphasis": PRE_EMPHASIS,
+                 "log_floor": LOG_FLOOR, "delta_window": DELTA_WINDOW},
         "phoneme_inventory": list(ARPABET_39),
         "ema_channels": list(EMA_CHANNELS),
     }
@@ -247,7 +249,7 @@ def mean_variance_normalize(features: np.ndarray) -> np.ndarray:
 
 
 def mfcc_cepstra(samples: np.ndarray, rate: int, cfg: MfccConfig) -> np.ndarray:
-    """Un-normalized cepstra [T, cfg.cepstra] for one utterance."""
+    """Un-normalized cepstra [T, CEPSTRA] for one utterance."""
     window = cfg.window_samples(rate)
     hop = cfg.hop_samples(rate)
     if window < 1 or hop < 1:
@@ -256,21 +258,19 @@ def mfcc_cepstra(samples: np.ndarray, rate: int, cfg: MfccConfig) -> np.ndarray:
     nfft = 1
     while nfft < window:
         nfft *= 2
-    frames = frame_signal(pre_emphasize(samples, cfg.pre_emphasis), window, hop)
+    frames = frame_signal(pre_emphasize(samples, PRE_EMPHASIS), window, hop)
     fbank = mel_filterbank_matrix(cfg.mel_filters, nfft, rate)
-    return cepstra_from_log_mel(log_mel_energies(frames, fbank, nfft, cfg.log_floor), cfg.cepstra)
+    return cepstra_from_log_mel(log_mel_energies(frames, fbank, nfft, LOG_FLOOR), CEPSTRA)
 
 
 def compute_mfcc(samples: np.ndarray, rate: int, cfg: MfccConfig | None = None) -> np.ndarray:
     """Full pipeline: [T, 39] normalized cepstra + deltas + delta-deltas."""
     cfg = cfg or MfccConfig()
-    if cfg.sample_rate is not None and rate != cfg.sample_rate:
-        raise DataError(f"sample rate {rate} Hz does not match the configured {cfg.sample_rate} Hz")
     if rate < 8000:
         raise DataError(f"sample rate {rate} Hz below the 8 kHz minimum")
     base = mfcc_cepstra(samples, rate, cfg)
-    d1 = delta_coefficients(base, cfg.delta_window)
-    d2 = delta_coefficients(d1, cfg.delta_window)
+    d1 = delta_coefficients(base, DELTA_WINDOW)
+    d2 = delta_coefficients(d1, DELTA_WINDOW)
     return mean_variance_normalize(np.concatenate([base, d1, d2], axis=1))
 
 
@@ -389,6 +389,8 @@ def encode_phonemes(entries: list[AlignmentEntry], frame_count: int, hop_s: floa
 
 # -- articulator targets -----------------------------------------------------
 
+EMA_SLACK_S = 0.05  # how far the frame centers may reach past a track's ends
+
 @dataclass
 class EmaTrack:
     """Articulator trajectories: sample times in seconds and one column per
@@ -414,15 +416,15 @@ def read_ema_csv(path) -> EmaTrack:
         raise DataError(f"{path}: {exc}") from None
 
 
-def align_ema(track: EmaTrack, frame_count: int, hop_s: float, slack_s: float = 0.05) -> np.ndarray:
+def align_ema(track: EmaTrack, frame_count: int, hop_s: float) -> np.ndarray:
     """Linearly interpolate each channel at acoustic frame centers,
     [frame_count, 12] mm.  Frame times outside the track clamp to its
-    endpoints; a gap beyond ``slack_s`` is a duration mismatch."""
+    endpoints; a gap beyond ``EMA_SLACK_S`` is a duration mismatch."""
     centers = (np.arange(frame_count) + 0.5) * hop_s
-    if centers[0] < track.times[0] - slack_s or centers[-1] > track.times[-1] + slack_s:
+    if centers[0] < track.times[0] - EMA_SLACK_S or centers[-1] > track.times[-1] + EMA_SLACK_S:
         raise DataError(
             f"EMA track [{track.times[0]:.3f}s, {track.times[-1]:.3f}s] does not cover "
-            f"frames [{centers[0]:.3f}s, {centers[-1]:.3f}s] within {slack_s * 1000:.0f} ms slack"
+            f"frames [{centers[0]:.3f}s, {centers[-1]:.3f}s] within {EMA_SLACK_S * 1000:.0f} ms slack"
         )
     out = np.empty((frame_count, track.values.shape[1]))
     for c in range(track.values.shape[1]):

@@ -75,8 +75,7 @@ class ConvBank:
     """Parallel multi-scale convolution branches concatenated by ascending
     kernel size; output is [T, len(kernel_sizes) * channels_per_branch]."""
 
-    def __init__(self, in_channels: int, channels_per_branch: int,
-                 kernel_sizes=(1, 3, 5, 7, 9), rng=None):
+    def __init__(self, in_channels: int, channels_per_branch: int, kernel_sizes, rng=None):
         self.kernel_sizes = tuple(sorted(kernel_sizes))
         self.branches = [
             Conv1DLayer(k, in_channels, channels_per_branch, rng=rng)
@@ -90,12 +89,14 @@ class ConvBank:
         return ad.concat([branch.forward(x, lengths) for branch in self.branches])
 
 
+LAYER_NORM_EPSILON = 1e-5
+
+
 class LayerNorm:
     """Per-frame normalization over the feature axis with learned gain/offset."""
 
-    def __init__(self, dim: int, epsilon: float = 1e-5):
+    def __init__(self, dim: int):
         self.dim = dim
-        self.epsilon = epsilon
         self.gain = Tensor(np.ones(dim), requires_grad=True)
         self.offset = Tensor(np.zeros(dim), requires_grad=True)
 
@@ -104,7 +105,7 @@ class LayerNorm:
         yield "offset", self.offset
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gain, self.offset, self.epsilon)
+        return ad.layer_norm(x, self.gain, self.offset, LAYER_NORM_EPSILON)
 
 
 class MultiHeadAttention:
@@ -112,7 +113,7 @@ class MultiHeadAttention:
     [model_dim, heads * head_dim] matrices, one ``attention`` tape node for
     all heads, one output projection, and a residual add."""
 
-    def __init__(self, model_dim: int = 512, heads: int = 8, head_dim: int = 64, rng=None):
+    def __init__(self, model_dim: int, heads: int, head_dim: int, rng=None):
         if heads * head_dim != model_dim:
             raise ShapeError(f"model dim {model_dim} must equal heads*head_dim = {heads * head_dim}")
         self.model_dim = model_dim
@@ -142,8 +143,7 @@ class AttentionEncoder:
     """Chained attention layers followed by a single layer norm; produces the
     global feature view of the input sequence."""
 
-    def __init__(self, model_dim: int = 512, layers: int = 6, heads: int = 8,
-                 head_dim: int = 64, rng=None):
+    def __init__(self, model_dim: int, layers: int, heads: int, head_dim: int, rng=None):
         self.model_dim = model_dim
         self.layers = [MultiHeadAttention(model_dim, heads, head_dim, rng=rng) for _ in range(layers)]
         self.norm = LayerNorm(model_dim)
@@ -180,7 +180,7 @@ class BLSTMLayer:
     (the second cell run from each sequence's last frame to its first) are
     concatenated, giving [T, 2 * hidden]."""
 
-    def __init__(self, input_dim: int, hidden: int = 150, rng=None):
+    def __init__(self, input_dim: int, hidden: int, rng=None):
         self.input_dim = input_dim
         self.hidden = hidden
         self.fw = _LSTMCell(input_dim, hidden, rng=rng)

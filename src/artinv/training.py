@@ -36,12 +36,10 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import io
 import logging
 import math
 import mmap
 import os
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,7 +222,7 @@ def _train_batch(model: InversionModel, scenario: Scenario, groups, weights, opt
     last = (optimizer.update, None) if channel is None else (channel.final, channel.contribute)
     n = len(forked) + 1
     for worker, _ in forked[:len(groups) - 1]:
-        worker.go(pickle.dumps(("run",)))
+        worker.go(("run",))
     values = []
     for i, group in enumerate(groups):
         if i % n:
@@ -277,7 +275,7 @@ def _workers(model: InversionModel, scenario: Scenario, trainable: dict, plan, h
     split = [groups for batches in plan for groups in batches if len(groups) > 1]
     with workers.forked([functools.partial(_work, model, scenario, trainable, split, hyper, ring, slot, processes)
                          for slot, ring in enumerate(rings, start=1)], "training worker process died") as forked:
-        channel = _Channel(rings[0], params, lambda message: forked[0].go(pickle.dumps(message)), forked[0].receive)
+        channel = _Channel(rings[0], params, forked[0].go, forked[0].receive)
         yield channel, list(zip(forked, rings))
 
 
@@ -353,8 +351,8 @@ def _absorb(ring, params, index: int, shapes, start: int) -> int:
 
 def _work(model: InversionModel, scenario: Scenario, trainable: dict, split, hyper: Hyper, ring, slot: int,
           processes: int, commands, results) -> None:
-    """The loop of worker ``slot`` of ``processes`` over its pickled
-    ``commands``; returns when they end.
+    """The loop of worker ``slot`` of ``processes`` over its ``commands``;
+    returns when they end.
 
     ``run``: run groups ``slot``, ``slot + processes``, ... of the next
     batch in ``split`` that has any, sending each group's gradients through
@@ -367,15 +365,10 @@ def _work(model: InversionModel, scenario: Scenario, trainable: dict, split, hyp
     params = list(trainable.values())
     optimizer = Adam(trainable if slot == 1 else {}, learning_rate=hyper.learning_rate)
     mine = ((groups[slot::processes], 1.0 / sum(map(len, groups))) for groups in split if groups[slot::processes])
-    reader = io.BufferedReader(commands)
-    channel = _Channel(ring, params, functools.partial(workers.send, results), lambda: pickle.load(reader)[1])
+    channel = _Channel(ring, params, functools.partial(workers.send, results), lambda: next(commands)[1])
     for p in params:
         p.grad = None
-    while True:
-        try:
-            kind, *args = pickle.load(reader)
-        except EOFError:
-            return
+    for kind, *args in commands:
         if kind == "run":
             groups, inv_count = next(mine)
             for group in groups:
@@ -400,7 +393,7 @@ def _receive(worker: workers.Worker, ring, params) -> list:
     """The losses of the worker's next group, whose gradients come through
     its ``ring`` and add to those of ``params`` as one more backward would."""
     while (message := worker.receive())[0] == "grad":
-        worker.go(pickle.dumps(("consumed", _absorb(ring, params, *message[1:]))))
+        worker.go(("consumed", _absorb(ring, params, *message[1:])))
     return message[1]
 
 

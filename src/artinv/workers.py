@@ -4,14 +4,15 @@ A worker is a forked child, so it inherits this process's memory (model,
 samples, shared parameters) instead of unpickling it.  It ignores SIGINT,
 since its parent ends it, leaves by ``os._exit``, and closes every worker
 pipe end it inherited, so each pipe ends with its two processes.  Its
-results come back as pickled frames, each a value or the exception it
-raised.
+commands go to it pickled, and its results come back as pickled frames,
+each a value or the exception it raised.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import io
 import os
 import pickle
 import signal
@@ -39,13 +40,22 @@ def send(results, value, failed: bool = False) -> None:
     results.flush()
 
 
+def commands_from(pipe):
+    """Yield each command ``Worker.go`` sent down ``pipe`` until the parent
+    closes it."""
+    reader = io.BufferedReader(pipe)
+    with contextlib.suppress(EOFError):
+        while True:
+            yield pickle.load(reader)
+
+
 class Worker:
     """This process's end of a worker: a pipe of ``commands`` to it and one
     of ``results`` from it, which raises ``WorkerDied(died)`` at its end."""
 
     def __init__(self, task, died: str):
-        """Fork a worker that runs ``task(commands, results)`` on its ends of
-        the pipes; an exception ``task`` raises is its last frame."""
+        """Fork a worker that runs ``task(commands, results)`` on what ``go``
+        sends and its results pipe; an exception it raises is its last frame."""
         command_r, command_w = os.pipe()
         result_r, result_w = os.pipe()
         try:
@@ -65,7 +75,7 @@ class Worker:
                 with open(command_r, "rb", buffering=0) as commands, open(result_w, "wb") as results:
                     _ends.update((commands, results))
                     try:
-                        task(commands, results)
+                        task(commands_from(commands), results)
                     except Exception as exc:  # raised in the parent when it reads this frame
                         send(results, (exc, traceback.format_exc()), failed=True)
                 code = 0
@@ -77,8 +87,8 @@ class Worker:
         _ends.update((self.commands, self.results))
 
     def go(self, command) -> None:
-        """Send the worker the bytes of ``command``."""
-        view = memoryview(command).cast("B")
+        """Send the worker ``command``, pickled."""
+        view = memoryview(pickle.dumps(command))
         try:
             while view:
                 view = view[self.commands.write(view):]

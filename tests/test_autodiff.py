@@ -73,7 +73,7 @@ class TestForward:
             signal = rng.normal(size=n)
             kernel = rng.normal(size=k)
             expected = correlate_oracle(signal, kernel, pad)
-            y = ad.conv1d(Tensor(signal.reshape(-1, 1)), Tensor(kernel.reshape(1, 1, -1)))
+            y = ad.conv1d(Tensor(signal.reshape(-1, 1)), Tensor(kernel.reshape(1, 1, -1)), Tensor(np.zeros(1)))
             np.testing.assert_allclose(y.data[:, 0], expected, atol=1e-10, rtol=0)
 
     def test_attention_random_vs_oracle(self):
@@ -112,7 +112,7 @@ class TestForward:
         with pytest.raises(ad.ShapeError, match="squared_error: input has no frames"):
             ad.squared_error(Tensor(np.zeros((0, 3))), Tensor(np.zeros((0, 3))))
         with pytest.raises(ad.ShapeError, match="conv1d: input has no frames"):
-            ad.conv1d(Tensor(np.zeros((0, 2))), Tensor(np.zeros((1, 2, 3))))
+            ad.conv1d(Tensor(np.zeros((0, 2))), Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros(1)))
         with pytest.raises(ad.ShapeError, match=r"layer_norm.*\(2, 3\).*\(4,\)"):
             ad.layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones(4)), Tensor(np.zeros(4)), 1e-5)
         with pytest.raises(ad.ShapeError, match=r"concat.*\(2, 3\), \(3, 3\)"):

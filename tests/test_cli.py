@@ -532,7 +532,7 @@ def test_interrupted_training_leaves_no_worker(tmp_path, monkeypatch):
         assert_reaped(pids)
 
 
-def test_dead_fold_worker_does_not_wait_for_its_gradient_workers(tmp_path, capfd, monkeypatch):
+def test_dead_fold_worker_does_not_wait_for_its_training_workers(tmp_path, capfd, monkeypatch):
     """A fold worker killed while its own training worker runs a group fails
     its fold at once: that training worker holds no end of the fold
     worker's pipes, so the command exits 2 while it still runs."""
@@ -574,7 +574,7 @@ def test_dead_fold_worker_does_not_wait_for_its_gradient_workers(tmp_path, capfd
             break
         time.sleep(0.1)
     os.kill(int(grandchild.read_text()), signal.SIGKILL)
-    assert len(pids) == 5  # the fold worker, and a gradient and a prediction worker for each fold run here
+    assert len(pids) == 5  # the fold worker, and a training and a prediction worker for each fold run here
     assert_reaped(pids)
 
 

@@ -241,7 +241,7 @@ def test_parallel_folds_match_sequential(tmp_path):
     assert (tmp_path / "seq" / "report.csv").read_bytes() == (tmp_path / "par" / "report.csv").read_bytes()
 
 
-def test_no_training_thread_is_alive_when_the_fold_pool_forks(tmp_path, monkeypatch):
+def test_no_training_thread_is_alive_when_a_fold_worker_forks(tmp_path, monkeypatch):
     """Folds first train in this process (jobs=1); when jobs=2 then forks
     its fold worker, only the threads that ran before training exist."""
     samples = corpus(tmp_path, speakers=2, utts=2, seed=20)

@@ -33,7 +33,7 @@ def dft_cepstra_oracle(signal, frame_index, cfg, rate):
     emphasized = np.empty_like(signal)
     emphasized[0] = signal[0]
     for n in range(1, len(signal)):
-        emphasized[n] = signal[n] - cfg.pre_emphasis * signal[n - 1]
+        emphasized[n] = signal[n] - feat.PRE_EMPHASIS * signal[n - 1]
     frame = emphasized[frame_index * hop:frame_index * hop + window]
 
     hamming = np.array([0.54 - 0.46 * math.cos(2 * math.pi * n / (window - 1)) for n in range(window)])
@@ -62,7 +62,7 @@ def dft_cepstra_oracle(signal, frame_index, cfg, rate):
         for b in range(center, right):
             energies[m] += magnitude[b] * (right - b) / (right - center)
 
-    return dct2_oracle(np.log(np.maximum(energies, cfg.log_floor)), cfg.cepstra)
+    return dct2_oracle(np.log(np.maximum(energies, feat.LOG_FLOOR)), feat.CEPSTRA)
 
 
 class TestMfcc:
@@ -78,7 +78,7 @@ class TestMfcc:
         nfft = 512
         frames = feat.frame_signal(np.zeros(rate), window, hop)
         fbank = feat.mel_filterbank_matrix(cfg.mel_filters, nfft, rate)
-        log_mel = feat.log_mel_energies(frames, fbank, nfft, cfg.log_floor)
+        log_mel = feat.log_mel_energies(frames, fbank, nfft, feat.LOG_FLOOR)
         np.testing.assert_array_equal(log_mel, np.full_like(log_mel, np.log(1e-10)))
 
         cep = feat.mfcc_cepstra(np.zeros(rate), rate, cfg)
@@ -418,3 +418,10 @@ def test_streams_share_frame_count():
 def test_feature_hash_tracks_config():
     assert feat.feature_config_hash(MfccConfig()) != feat.feature_config_hash(MfccConfig(hop_ms=12.5))
     assert feat.feature_config_hash(MfccConfig()) == feat.feature_config_hash(MfccConfig())
+    # the digests from when every MFCC stage was a setting: checkpoints made then still score
+    pinned = {
+        MfccConfig(): "edafaded2485b1ecec800c8b55c69ced6990bb335b0b95686c33a963ea078897",
+        MfccConfig(hop_ms=12.5): "1a0006b304c1872ce04e106865f0e97dce7970e8587466f3ce8496ee09f5aec2",
+        MfccConfig(window_ms=20.0, mel_filters=40): "8ebf0775011723119c3f9918efccb7625269e7890a55f8c45233f34b6c22ed7b",
+    }
+    assert {cfg: feat.feature_config_hash(cfg) for cfg in pinned} == pinned

@@ -37,7 +37,7 @@ class TestConvBank:
 
     def test_output_shape_and_gradients(self):
         rng = np.random.default_rng(3)
-        bank = layers.ConvBank(39, 4, rng=rng)
+        bank = layers.ConvBank(39, 4, kernel_sizes=(1, 3, 5, 7, 9), rng=rng)
         x = Tensor(rng.normal(size=(7, 39)), requires_grad=True)
 
         def build():
@@ -112,7 +112,7 @@ class TestAttention:
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(8)
-        mha = layers.MultiHeadAttention(512, rng=rng)
+        mha = layers.MultiHeadAttention(512, heads=8, head_dim=64, rng=rng)
         x = rng.normal(size=(5, 512))
         weights = ad._attention_weights(x @ mha.wq.data, x @ mha.wk.data, mha.heads)
         assert len(weights) == 8

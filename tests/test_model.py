@@ -17,6 +17,7 @@ from artinv import gradcheck
 from artinv import layers
 from artinv import model as mdl
 from artinv import training
+from artinv import workers
 from artinv.autodiff import ShapeError, Tensor
 from artinv.dataio import UtteranceSample
 from artinv.errors import NumericalError, UsageError
@@ -554,7 +555,8 @@ class TestTrainingCores:
         result_r, result_w = os.pipe()
         os.close(command_w)
         with open(command_r, "rb", buffering=0) as commands, open(result_w, "wb") as results:
-            training._work(model, S3, trainable, [groups], Hyper(), mmap.mmap(-1, 4096), 1, 2, commands, results)
+            training._work(model, S3, trainable, [groups], Hyper(), mmap.mmap(-1, 4096), 1, 2,
+                           workers.commands_from(commands), results)
         with open(result_r, "rb") as results:
             assert results.read() == b""
         assert all(p.grad is None for p in trainable.values())
