@@ -424,17 +424,34 @@ def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
     return a.reshape(a.shape[0], heads, -1).swapaxes(0, 1)
 
 
-def _merge_heads(a: np.ndarray) -> np.ndarray:
-    """[heads, T, d] -> [T, heads * d], the inverse of ``_split_heads``."""
-    return a.swapaxes(0, 1).reshape(a.shape[1], -1)
+# Elements of the [heads, T, T] weights that one pass of attention works on
+# (512 KB): a short segment's heads go in one batched pass, a long one's one
+# head at a time, so each pass's block stays in the core's L2 cache.
+_HEAD_BLOCK = 1 << 16
+
+
+def _head_runs(heads: int, frames: int) -> list:
+    """The heads of one ``frames``-long segment in passes of ``_HEAD_BLOCK``."""
+    step = max(1, _HEAD_BLOCK // (frames * frames))
+    return [slice(h, min(h + step, heads)) for h in range(0, heads, step)]
+
+
+def _softmax_weights(qh: np.ndarray, kh: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """softmax(q_h k_h^T * scale) over the last axis for the [heads, T, d]
+    views ``qh`` and ``kh``, formed in place in ``out`` [heads, T, T]; the
+    row maximum is subtracted before ``exp``."""
+    np.matmul(qh, kh.swapaxes(-1, -2), out=out)
+    out *= scale
+    out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def _attention_weights(q: np.ndarray, k: np.ndarray, heads: int) -> np.ndarray:
     """Per-head softmax(q_h k_h^T / sqrt(d)) over the last axis, [heads, T, T]."""
     qh, kh = _split_heads(q, heads), _split_heads(k, heads)
-    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * (1.0 / math.sqrt(qh.shape[-1]))
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax_weights(qh, kh, 1.0 / math.sqrt(qh.shape[-1]), np.empty((heads, len(q), len(q))))
 
 
 def attention(q, k, v, heads: int, lengths=None) -> Tensor:
@@ -442,10 +459,22 @@ def attention(q, k, v, heads: int, lengths=None) -> Tensor:
 
     Head h attends with the weights softmax(q_h k_h^T / sqrt(d)) of its
     column block and returns weights @ v_h; the heads' contexts come back
-    side by side as [T, heads * d_v].  Fused primitive: all heads run as
-    batched matmuls on [heads, T, d] views (Vaswani et al. 2017, section
-    3.2.2), so a whole attention layer is one tape node.  With ``lengths``,
-    the rows pack several sequences and each attends only within itself.
+    side by side as [T, heads * d_v].  Fused primitive (Vaswani et al. 2017,
+    section 3.2.2): a whole attention layer is one tape node.  With
+    ``lengths``, the rows pack several sequences and each attends only
+    within itself.
+
+    Each segment's heads run as batched matmuls on [heads, T, d] views,
+    each context written straight into its column block of the result, as
+    many heads to a pass as fit in ``_HEAD_BLOCK`` elements: a short
+    segment's heads go in one pass, a long one's one at a time.  The
+    softmax is formed in place: the tape keeps one [heads, T, T] array of
+    weights per segment, and a forward under ``no_grad`` reuses one pass's
+    block.  The adjoint works in two scratch blocks of one pass, so a long
+    segment holds no other [heads, T, T] temporaries (Rabe and Staats 2021
+    go further and never hold the weights).  Every product, sum and
+    quotient is the all-heads batched formula's, in the same order, so the
+    results equal it bit for bit.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.data.ndim != 2 or q.data.shape != k.data.shape or v.data.ndim != 2 \
@@ -458,21 +487,38 @@ def attention(q, k, v, heads: int, lengths=None) -> Tensor:
     bounds = np.concatenate(([0], np.cumsum(lens))).tolist()
     spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     scale = 1.0 / math.sqrt(q.data.shape[1] // heads)
-    weights = [_attention_weights(q.data[s], k.data[s], heads) for s in spans]
+    taped = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    weights = []  # per segment, [heads, T, T]: kept for the adjoint
     out = np.empty(v.data.shape)
-    for s, w in zip(spans, weights):
-        out[s] = _merge_heads(np.matmul(w, _split_heads(v.data[s], heads)))
+    for s, n in zip(spans, lens.tolist()):
+        qh, kh, vh, out_h = (_split_heads(a[s], heads) for a in (q.data, k.data, v.data, out))
+        runs = _head_runs(heads, n)
+        w = np.empty((heads if taped else runs[0].stop, n, n))
+        for r in runs:
+            w_r = w[r] if taped else w[:r.stop - r.start]
+            np.matmul(_softmax_weights(qh[r], kh[r], scale, w_r), vh[r], out=out_h[r])
+        if taped:
+            weights.append(w)
 
     def vjp(g):
         g_q, g_k, g_v = np.empty(q.data.shape), np.empty(k.data.shape), np.empty(v.data.shape)
-        for s, w in zip(spans, weights):
+        for s, n, w in zip(spans, lens.tolist(), weights):
             qh, kh, vh, gh = (_split_heads(a[s], heads) for a in (q.data, k.data, v.data, g))
-            g_weights = np.matmul(gh, vh.swapaxes(-1, -2))
-            g_v[s] = _merge_heads(np.matmul(w.swapaxes(-1, -2), gh))
-            dot = (g_weights * w).sum(axis=-1, keepdims=True)
-            g_scores = w * (g_weights - dot) * scale
-            g_q[s] = _merge_heads(np.matmul(g_scores, kh))
-            g_k[s] = _merge_heads(np.matmul(qh.swapaxes(-1, -2), g_scores).swapaxes(-1, -2))
+            g_qh, g_kh, g_vh = (_split_heads(a[s], heads) for a in (g_q, g_k, g_v))
+            runs = _head_runs(heads, n)
+            g_w_run, scratch_run = np.empty((2, runs[0].stop, n, n))
+            for r in runs:
+                w_r, g_r = w[r], gh[r]
+                g_w, scratch = g_w_run[:r.stop - r.start], scratch_run[:r.stop - r.start]
+                np.matmul(w_r.swapaxes(-1, -2), g_r, out=g_vh[r])
+                # g_scores = w * (g_w - (g_w * w).sum(-1)) * scale, in g_w
+                np.matmul(g_r, vh[r].swapaxes(-1, -2), out=g_w)
+                np.multiply(g_w, w_r, out=scratch)
+                g_w -= scratch.sum(axis=-1, keepdims=True)
+                np.multiply(w_r, g_w, out=g_w)
+                g_w *= scale
+                np.matmul(g_w, kh[r], out=g_qh[r])
+                g_kh[r] = np.matmul(qh[r].swapaxes(-1, -2), g_w).swapaxes(-1, -2)
         return g_q, g_k, g_v
 
     return _make(out, "attention", (q, k, v), vjp)

@@ -76,7 +76,14 @@ def format_float(x) -> str:
 
 
 def write_matrix_csv(path, matrix: np.ndarray, header=None) -> None:
-    write_csv(path, np.atleast_2d(np.asarray(matrix, dtype=np.float64)).tolist(), header)
+    """Write a float matrix as ``write_csv`` would, one ``\\r\\n``-ended line
+    of comma-joined reprs per row: a float never needs ``csv`` quoting, so
+    the rows skip ``csv.writer``; the header goes through it."""
+    rows = np.atleast_2d(np.asarray(matrix, dtype=np.float64)).tolist()
+    with create_text(path) as fh:
+        if header is not None:
+            csv.writer(fh).writerow(header)
+        fh.writelines([",".join(map(repr, row)) + "\r\n" for row in rows])
 
 
 def write_trace_csv(path, trace) -> None:

@@ -2,6 +2,8 @@
 
 These deliberately avoid the package's vectorized code paths: plain Python
 loops and scalar math, so an implementation bug cannot hide in both sides.
+The one exception is ``attention_reference``, which keeps the batched
+formulas the attention primitive used to run, as a bit-for-bit reference.
 """
 
 import math
@@ -93,6 +95,39 @@ def attention_oracle(q, k, v, heads):
             for j in range(d_v):
                 out[t, h * d_v + j] = sum(exps[s] / total * v[s, h * d_v + j] for s in range(frames))
     return out
+
+
+def attention_reference(q, k, v, heads, lengths=None, g=None):
+    """Attention with all heads as batched matmuls on [heads, T, d] views,
+    each step a fresh array.  Returns the [T, heads * d_v] output and, when
+    the output gradient ``g`` is given, the gradients of q, k and v."""
+    def split(a):
+        return a.reshape(a.shape[0], heads, -1).swapaxes(0, 1)
+
+    def merge(a):
+        return a.swapaxes(0, 1).reshape(a.shape[1], -1)
+
+    lengths = [q.shape[0]] if lengths is None else lengths
+    bounds = np.cumsum([0, *lengths])
+    scale = 1.0 / math.sqrt(q.shape[1] // heads)
+    out = np.empty(v.shape)
+    grads = [np.empty(a.shape) for a in (q, k, v)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        s = slice(lo, hi)
+        qh, kh, vh = split(q[s]), split(k[s]), split(v[s])
+        scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        w = e / e.sum(axis=-1, keepdims=True)
+        out[s] = merge(np.matmul(w, vh))
+        if g is not None:
+            gh = split(g[s])
+            g_weights = np.matmul(gh, vh.swapaxes(-1, -2))
+            grads[2][s] = merge(np.matmul(w.swapaxes(-1, -2), gh))
+            dot = (g_weights * w).sum(axis=-1, keepdims=True)
+            g_scores = w * (g_weights - dot) * scale
+            grads[0][s] = merge(np.matmul(g_scores, kh))
+            grads[1][s] = merge(np.matmul(qh.swapaxes(-1, -2), g_scores).swapaxes(-1, -2))
+    return out if g is None else (out, *grads)
 
 
 def layer_norm_oracle(x, gain, offset, epsilon):

@@ -1,5 +1,6 @@
 """Gradient-tape core: forward values, adjoints, and the checking harness."""
 
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -9,7 +10,9 @@ from artinv import autodiff as ad
 from artinv import gradcheck
 from artinv.autodiff import Tensor
 from artinv.errors import NumericalError
-from oracles import attention_oracle, correlate_oracle, layer_norm_oracle, linear_oracle, squared_error_oracle
+from oracles import (
+    attention_oracle, attention_reference, correlate_oracle, layer_norm_oracle, linear_oracle, squared_error_oracle,
+)
 
 
 def central_diff(f, x, step=1e-6):
@@ -341,6 +344,16 @@ class TestGradCheck:
         np.testing.assert_allclose(q.grad, 0.0, atol=1e-12)
         np.testing.assert_allclose(k.grad, 0.0, atol=1e-12)
 
+    def test_attention_gradients_on_a_160_frame_segment(self):
+        rng = np.random.default_rng(10)
+        q, k, v = (Tensor(rng.normal(size=(160, 8)), requires_grad=True) for _ in range(3))
+        coeffs = Tensor(rng.normal(size=(160, 8)))
+
+        def build():
+            return ad.tsum(ad.mul(ad.attention(q, k, v, heads=2), coeffs))
+
+        assert ad.check_gradients(build, [q, k, v], max_coords=12, coord_mode="largest") < 1e-6
+
     def test_step_bounds(self):
         x = Tensor([1.0], requires_grad=True)
         with pytest.raises(ValueError):
@@ -481,6 +494,79 @@ class TestPacked:
                 np.testing.assert_allclose(got[seg], attention_oracle(q[seg], k[seg], v[seg], heads),
                                            atol=1e-12, rtol=0)
                 lo += n
+
+    @pytest.mark.parametrize("lengths", [(1,), (7,), (80,), (100,), (300,), (10, 300, 45)])
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    @pytest.mark.parametrize("grad", [True, False], ids=["tape", "no_grad"])
+    def test_attention_equals_the_batched_reference_bitwise(self, lengths, heads, grad):
+        """Output and all three adjoint outputs, one segment or packed, with
+        the model's head width and a narrower value width.  At 8 heads, 80
+        frames take all heads in one pass, 100 frames passes of 6 and 2, and
+        300 frames one head a pass."""
+        rng = np.random.default_rng(sum(lengths) * 10 + heads)
+        frames = sum(lengths)
+        q, k = rng.normal(size=(2, frames, heads * 64))
+        v, g = rng.normal(size=(2, frames, heads * 48))
+        tensors = [Tensor(a, requires_grad=grad) for a in (q, k, v)]
+        if grad:
+            y = ad.attention(*tensors, heads, lengths=lengths)
+            got = (y.data, *y._vjp(g))
+            want = attention_reference(q, k, v, heads, lengths, g)
+        else:
+            with ad.no_grad():
+                got = (ad.attention(*tensors, heads, lengths=lengths).data,)
+            want = (attention_reference(q, k, v, heads, lengths),)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("grad", [True, False], ids=["tape", "no_grad"])
+    def test_attention_of_one_operand_equals_the_batched_reference_bitwise(self, grad):
+        """q, k and v all one array, as when a product of an operand with
+        itself may take a symmetric BLAS path."""
+        rng = np.random.default_rng(46)
+        x, g = rng.normal(size=(2, 95, 4 * 16))
+        t = Tensor(x, requires_grad=grad)
+        if grad:
+            y = ad.attention(t, t, t, 4, lengths=(40, 55))
+            got = (y.data, *y._vjp(g))
+            want = attention_reference(x, x, x, 4, (40, 55), g)
+        else:
+            with ad.no_grad():
+                got = (ad.attention(t, t, t, 4, lengths=(40, 55)).data,)
+            want = (attention_reference(x, x, x, 4, (40, 55)),)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_attention_holds_few_heads_by_t_by_t_blocks(self):
+        """At T = 256 with 8 heads of 64, the forward's peak above what it
+        started with is at most 2 [heads, T, T] float64 blocks (one is the
+        weights the tape keeps), the adjoint's at most 1.5 (the three
+        [T, 512] gradients are 0.75), and a forward under no_grad's at most
+        0.5 (its [T, 512] output and one [T, T] block)."""
+        heads, frames, d = 8, 256, 64
+        block = heads * frames * frames * 8
+        rng = np.random.default_rng(47)
+        q, k, v = (Tensor(rng.normal(size=(frames, heads * d)), requires_grad=True) for _ in range(3))
+        g = rng.normal(size=(frames, heads * d))
+
+        def peak_blocks(run):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            kept = run()
+            return (tracemalloc.get_traced_memory()[1] - start) / block, kept
+
+        tracemalloc.start()
+        try:
+            forward, y = peak_blocks(lambda: ad.attention(q, k, v, heads))
+            adjoint, _ = peak_blocks(lambda: y._vjp(g))
+            with ad.no_grad():
+                inference, _ = peak_blocks(lambda: ad.attention(q, k, v, heads))
+        finally:
+            tracemalloc.stop()
+        assert forward <= 2.0, forward
+        assert adjoint <= 1.5, adjoint
+        assert inference <= 0.5, inference
 
     def test_lstm_gradients_of_every_operand(self):
         rng = np.random.default_rng(42)

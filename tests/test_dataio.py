@@ -1,6 +1,8 @@
 """Manifests, the synthetic corpus generator, text output and checkpoint persistence."""
 
+import csv
 import hashlib
+import io
 import json
 import re
 import struct
@@ -160,6 +162,19 @@ class TestTextOutput:
         dataio.write_matrix_csv(path, values)
         assert path.read_bytes() == (",".join(dataio.format_float(v) for v in values[0]) + "\r\n").encode()
         assert read_matrix_csv(path, values.shape[1]).tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("header", [None, ("t", "a,b", 'q"x', "nan")])
+    def test_matrix_csv_is_byte_for_byte_what_csv_writer_writes(self, tmp_path, header):
+        values = np.array([[np.nan, np.inf, -np.inf, -0.0, 0.0],
+                           [1e308, -1e308, 5e-324, -5e-324, 1.7976931348623157e308],
+                           [0.1, 1 / 3, 2.0, 1e16, 123456789.0]])
+        want = io.StringIO(newline="")
+        csv.writer(want).writerows(values.tolist() if header is None else [header, *values.tolist()])
+        dataio.write_matrix_csv(tmp_path / "m.csv", values, header)
+        assert (tmp_path / "m.csv").read_bytes() == want.getvalue().encode()
+        dataio.write_matrix_csv(tmp_path / "row.csv", values[1])
+        assert (tmp_path / "row.csv").read_bytes() == want.getvalue().encode().splitlines(keepends=True)[
+            1 if header is None else 2]
 
     def test_parent_directories_are_made(self, tmp_path):
         dataio.write_csv(tmp_path / "a" / "b" / "t.csv", [(1, 0.5, "x")], header=("n", "v", "s"))
